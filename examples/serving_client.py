@@ -26,7 +26,7 @@ running TCP server (``python -m repro.serving --tcp HOST:PORT``) over a
 socket -- a cold request burst, a cached rerun checked byte-identical
 modulo the ``cached`` flag, one injected garbage frame (the connection
 survives, the bad frame gets its own error envelope), and the server's
-merged stats.  The CI ``serving-tcp`` job runs exactly this mode.
+merged stats.  The CI ``serving`` job runs exactly this mode.
 """
 
 import json

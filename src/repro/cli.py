@@ -11,7 +11,7 @@ Usage::
     repro-experiments bench --json artifacts/BENCH_fleet.json
     repro-experiments suite                  # expert-oracle task-suite health gate
     repro-experiments suite --episodes 1 --layout seen --workers 2
-    repro-experiments serve --workers 2      # JSONL evaluation service on stdin
+    repro-experiments serve --workers 2      # JSONL service; takes repro-serve's flags
     repro-experiments lint                   # determinism-contract static analysis
     repro-experiments --result-cache tbl1    # rerun served from the result cache
     REPRO_PROFILE=full repro-experiments tbl1
@@ -34,6 +34,11 @@ _ORDER = [
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["serve"]:
+        from repro.serving.__main__ import main as serve_main
+
+        return serve_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the DaDu-Corki paper's tables and figures.",
@@ -73,28 +78,11 @@ def main(argv: list[str] | None = None) -> int:
         help="serve repeated evaluation lanes from a content-addressed result "
              "cache persisted under artifacts/result-cache; cached lanes are "
              "byte-identical to fresh rolls, so reports are unchanged -- "
-             "reruns just skip the rolling.  For 'serve', enables the "
-             "service's on-disk cache",
+             "reruns just skip the rolling",
     )
     parser.add_argument(
         "--result-cache-dir", default=None, metavar="DIR",
         help="like --result-cache, but persist the cache under DIR",
-    )
-    parser.add_argument(
-        "--max-queue", type=int, default=None, metavar="N",
-        help="('serve' only) bound the admission queue; overflow requests "
-             "answer {'status': 'rejected'} instead of queueing unboundedly",
-    )
-    parser.add_argument(
-        "--tcp", default=None, metavar="HOST:PORT",
-        help="('serve' only) serve the JSONL protocol over a TCP socket "
-             "instead of stdin/stdout (port 0 binds an ephemeral port, "
-             "announced on stderr)",
-    )
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="S",
-        help="('serve' only) seconds before a dispatched worker chunk is "
-             "declared lost and re-dispatched (hard-crash recovery)",
     )
     parser.add_argument(
         "--episodes", type=int, default=2, metavar="N",
@@ -120,13 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if "serve" in args.experiments:
-        if len(args.experiments) > 1:
-            print(
-                "'serve' runs alone; invoke other experiments in a separate call",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_serve(args)
+        print(
+            "'serve' runs alone and comes first: repro-experiments serve "
+            "[repro-serve flags]",
+            file=sys.stderr,
+        )
+        return 2
 
     if "lint" in args.experiments:
         if len(args.experiments) > 1:
@@ -192,47 +179,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[saved {path}]")
         print(f"--- {name} done in {time.perf_counter() - started:.1f}s ---\n")
     return 0
-
-
-def _run_serve(args) -> int:
-    """``repro-experiments serve``: the JSONL evaluation service on stdin.
-
-    Thin forwarding shim over ``python -m repro.serving`` (the two spellings
-    serve identically): ``--workers`` sets the warm pool width,
-    ``--fleet-size`` the in-process continuous-batching slot count,
-    ``--result-cache`` / ``--result-cache-dir DIR`` persist the
-    content-addressed result cache on disk, ``--max-queue`` bounds
-    admission, ``--chunk-timeout`` arms hard-crash recovery for pooled
-    dispatch, and ``--tcp HOST:PORT`` swaps stdin/stdout for the asyncio
-    TCP front end (same request schema plus priorities, deadlines and the
-    hot-reload op -- see docs/serving.md).
-    """
-    from repro.serving.__main__ import main as serve_main
-
-    forwarded: list[str] = []
-    if args.workers is not None:
-        forwarded += ["--workers", str(args.workers)]
-    if args.fleet_size is not None:
-        if args.fleet_size < 1:
-            print("--fleet-size must be >= 1", file=sys.stderr)
-            return 2
-        forwarded += ["--slots", str(args.fleet_size)]
-    cache_dir = args.result_cache_dir or (
-        "artifacts/result-cache" if args.result_cache else None
-    )
-    if cache_dir is not None:
-        forwarded += ["--cache-dir", cache_dir]
-    if args.max_queue is not None:
-        forwarded += ["--max-queue", str(args.max_queue)]
-    if args.chunk_timeout is not None:
-        forwarded += ["--chunk-timeout", str(args.chunk_timeout)]
-    if args.tcp is not None:
-        forwarded += ["--tcp", args.tcp]
-        if args.max_queue is not None:
-            # Over TCP, admission control lives at the server's pending
-            # batch; --max-queue maps onto it so both spellings shed alike.
-            forwarded += ["--max-pending", str(args.max_queue)]
-    return serve_main(forwarded)
 
 
 def _run_suite(episodes: int, layout_choice: str, workers: int = 1) -> int:

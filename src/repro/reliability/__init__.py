@@ -1,7 +1,7 @@
 """Reliability substrate: deterministic fault injection, retries, health.
 
 The serving and sharded-evaluation tiers promise that a worker crash, a
-truncated cache entry or a malformed request line degrades a *request*, not
+truncated cache entry or a malformed request frame degrades a *request*, not
 the process -- and that whatever recovers is byte-identical to a fault-free
 run.  Promises like that rot unless every failure mode is exercised by a
 reproducible test, so this package provides three small pieces:
@@ -13,7 +13,7 @@ reproducible test, so this package provides three small pieces:
 * :mod:`repro.reliability.retry` -- :class:`RetryPolicy`, capped exponential
   backoff shared by the worker pool and the serving tier;
 * :mod:`repro.reliability.health` -- :class:`HealthCounters` (retries,
-  respawns, timeouts, rejections, degradations) and :class:`PoolUnhealthy`,
+  respawns, timeouts, degradations) and :class:`PoolUnhealthy`,
   the signal that a pool exhausted its retries and callers should degrade.
 
 Nothing here rolls episodes: the recovery paths live in

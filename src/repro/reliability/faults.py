@@ -7,7 +7,7 @@ lane randomness (``default_rng([seed, domain, ...])``), so a chaos run is
 reproducible: the same plan against the same workload injects the same
 faults, every time, on any machine.
 
-Five injection sites exist today:
+Four injection sites exist today:
 
 * **worker chunks** -- :meth:`FaultPlan.chunk_directive` decides whether a
   chunk dispatch crashes (raise :class:`InjectedFault`, or hard-kill the
@@ -19,16 +19,13 @@ Five injection sites exist today:
 * **cache reads** -- :meth:`FaultPlan.corrupts_cache_read` makes a payload
   arrive truncated (:meth:`FaultPlan.truncate`), exercising the cache's
   evict-and-re-roll path.
-* **request lines** -- :meth:`FaultPlan.mangles_line` truncates a JSONL
-  request line mid-flight (:meth:`FaultPlan.mangle_line`), exercising the
-  per-request error path of the serving loop.
 * **connections** -- :meth:`FaultPlan.drops_connection` closes an accepted
-  TCP connection before it is served, exercising the server's
-  accept-failure accounting (the server must survive; other connections
-  must be unaffected).
-* **frames** -- :meth:`FaultPlan.corrupts_frame` mangles one JSONL frame of
-  one connection (:meth:`FaultPlan.mangle_line` again), the per-connection
-  analogue of the stdin line fault: the frame errors, the connection and
+  connection before it is served, exercising the server's accept-failure
+  accounting (the server must survive; other connections must be
+  unaffected).  stdin/stdout is connection 0.
+* **frames** -- :meth:`FaultPlan.corrupts_frame` truncates one JSONL
+  request frame of one connection mid-flight
+  (:meth:`FaultPlan.mangle_line`): the frame errors, the connection and
   the server live on.
 
 Faults inject only on the first ``faulted_attempts`` tries of an operation
@@ -53,15 +50,13 @@ __all__ = ["FaultPlan", "ChunkDirective", "InjectedFault", "apply_chunk_directiv
 # ``lane_generators``.  The values are allocated from the tree-wide domain
 # registry (docs/contracts.md, RNG-PROVENANCE): 1/2 are the evaluation lane
 # streams, 3/4 the pipeline jitter streams, 5 the oracle episodes -- fault
-# decisions own 6-10 so no fault stream can unify with a simulation stream
-# even for an adversarial seed choice.
+# decisions own 6-9 and 13/14 so no fault stream can unify with a simulation
+# stream even for an adversarial seed choice.  10 (a retired request-line
+# fault) stays unallocated; 11/12 belong to the fleet-bench workload streams.
 _DOMAIN_CRASH = 6
 _DOMAIN_HANG = 7
 _DOMAIN_SLOW = 8
 _DOMAIN_CACHE = 9
-_DOMAIN_LINE = 10
-# 11/12 belong to the fleet-bench workload streams; the TCP serving tier
-# (PR 10) owns 13/14.
 _DOMAIN_CONNECTION = 13
 _DOMAIN_FRAME = 14
 
@@ -122,7 +117,6 @@ class FaultPlan:
     slow_rate: float = 0.0
     slow_seconds: float = 0.05
     cache_corrupt_rate: float = 0.0
-    malformed_line_rate: float = 0.0
     connection_drop_rate: float = 0.0
     frame_corrupt_rate: float = 0.0
     faulted_attempts: int = 1
@@ -132,8 +126,7 @@ class FaultPlan:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in (
-            "crash_rate", "hang_rate", "slow_rate",
-            "cache_corrupt_rate", "malformed_line_rate",
+            "crash_rate", "hang_rate", "slow_rate", "cache_corrupt_rate",
             "connection_drop_rate", "frame_corrupt_rate",
         ):
             rate = getattr(self, name)
@@ -176,14 +169,10 @@ class FaultPlan:
         ident = int(key[:16], 16) if key else 0
         return self._roll(_DOMAIN_CACHE, ident, read_index) < self.cache_corrupt_rate
 
-    def mangles_line(self, index: int) -> bool:
-        """Whether request line ``index`` of a JSONL stream arrives mangled."""
-        return self._roll(_DOMAIN_LINE, index) < self.malformed_line_rate
-
     def drops_connection(self, connection: int) -> bool:
-        """Whether the ``connection``-th accepted TCP connection is dropped
-        at accept (closed before a single frame is read).  Connections do
-        not retry, so the decision is unbudgeted -- like request lines."""
+        """Whether the ``connection``-th accepted connection is dropped at
+        accept (closed before a single frame is read).  Connections do not
+        retry, so the decision is unbudgeted -- like frames."""
         return self._roll(_DOMAIN_CONNECTION, connection) < self.connection_drop_rate
 
     def corrupts_frame(self, connection: int, frame: int) -> bool:

@@ -23,7 +23,7 @@ class HealthCounters:
     """Monotonic failure-handling counters, merged into ``stats()``.
 
     The pool owns ``retries`` / ``respawns`` / ``faults_injected``; the
-    serving tier owns ``timeouts`` / ``rejections`` / ``degradations``.
+    serving tier owns ``timeouts`` / ``degradations``.
     Both expose the same type so ``EvaluationService.stats()`` can merge a
     pool's counters with its own without translation.
     """
@@ -31,7 +31,6 @@ class HealthCounters:
     retries: int = 0
     respawns: int = 0
     timeouts: int = 0
-    rejections: int = 0
     degradations: int = 0
     faults_injected: int = 0
 
@@ -40,7 +39,6 @@ class HealthCounters:
             "retries": self.retries,
             "respawns": self.respawns,
             "timeouts": self.timeouts,
-            "rejections": self.rejections,
             "degradations": self.degradations,
             "faults_injected": self.faults_injected,
         }

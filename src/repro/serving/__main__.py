@@ -1,38 +1,39 @@
-"""``repro-serve``: the JSONL evaluation service on stdin/stdout.
+"""``repro-serve``: the JSONL evaluation service on stdin/stdout or TCP.
 
 Usage::
 
     PYTHONPATH=src python -m repro.serving [--workers N] [--slots N]
         [--tcp HOST:PORT] [--max-pending N] [--max-inflight N]
         [--cache-dir PATH] [--no-cache] [--max-entries N]
-        [--demos N] [--epochs N]
-        [--max-queue N] [--chunk-timeout S] [--retry-attempts N]
+        [--demos N] [--epochs N] [--chunk-timeout S] [--retry-attempts N]
         [--fault-seed N] [--fault-crash-rate P] [--fault-hard-crash]
-        [--fault-hang-rate P] [--fault-cache-rate P] [--fault-line-rate P]
+        [--fault-hang-rate P] [--fault-cache-rate P]
         [--fault-conn-rate P] [--fault-frame-rate P]
 
-``--tcp HOST:PORT`` swaps the stdin/stdout loop for the asyncio TCP front
-end (:mod:`repro.serving.server`): same request schema plus ``priority``,
-server-side admission control (``--max-pending``), per-connection flow
-control (``--max-inflight``) and the ``reload`` op for hot weight swaps.
-The bound address is announced on stderr (``[serving on HOST:PORT]``) so a
-supervisor -- or the CI smoke job -- knows when to connect; port ``0``
-binds an ephemeral port.
+One :class:`~repro.serving.server.EvaluationServer` serves either
+transport.  By default stdin/stdout is its only connection and the process
+exits once stdin ends and every request is answered.  ``--tcp HOST:PORT``
+listens instead; the bound address is announced on stderr
+(``[serving on HOST:PORT]``) so a supervisor -- or the CI smoke job --
+knows when to connect, port ``0`` binds an ephemeral port, and SIGINT
+shuts down cleanly.  Admission control (``--max-pending``), flow control
+(``--max-inflight``), priorities, deadlines and the ``reload`` op work the
+same on both (see :mod:`repro.serving.server` and ``docs/serving.md``).
 
 The ``--fault-*`` flags arm a deterministic :class:`repro.reliability.
 FaultPlan` (requires ``--fault-seed``): injected worker crashes, hangs,
-truncated cache reads and mangled request lines, all keyed on the plan's
-seed so a chaos run reproduces exactly.  The service must survive all of
-them -- they exist so CI can prove it does.
+truncated cache reads, dropped connections and mangled request frames, all
+keyed on the plan's seed so a chaos run reproduces exactly.  The service
+must survive all of them -- they exist so CI can prove it does.
 
-Requests are JSON objects, one per line; a blank line flushes the batch
-(see :mod:`repro.serving.jsonl` for the protocol).  ``repro-experiments
-serve`` forwards here, so both spellings serve identically.
+``repro-experiments serve ARGS`` passes ``ARGS`` here verbatim, so both
+spellings serve identically.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
 
 __all__ = ["main"]
@@ -42,7 +43,8 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
     """Entry point; ``policies``/``stdin``/``stdout`` are injectable for tests."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve episode-evaluation requests over stdin/stdout JSONL.",
+        description="Serve episode-evaluation requests as JSONL over "
+                    "stdin/stdout or a TCP socket.",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -55,19 +57,18 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
     )
     parser.add_argument(
         "--tcp", default=None, metavar="HOST:PORT",
-        help="serve the JSONL protocol over a TCP socket instead of "
-             "stdin/stdout (port 0 binds an ephemeral port, announced on "
-             "stderr)",
+        help="listen on a TCP socket instead of serving stdin/stdout "
+             "(port 0 binds an ephemeral port, announced on stderr)",
     )
     parser.add_argument(
         "--max-pending", type=int, default=None, metavar="N",
-        help="(--tcp only) bound the server's pending batch; overflow "
-             "frames answer {'status': 'rejected'} immediately",
+        help="bound the server's pending batch; overflow frames answer "
+             "{'status': 'rejected'} immediately",
     )
     parser.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
-        help="(--tcp only) per-connection flow control: stop reading a "
-             "connection with N unanswered admissions",
+        help="per-connection flow control: stop reading a connection with "
+             "N unanswered admissions",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -87,11 +88,6 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
     parser.add_argument(
         "--epochs", type=int, default=12, metavar="N",
         help="training epochs when training/loading the policies",
-    )
-    parser.add_argument(
-        "--max-queue", type=int, default=None, metavar="N",
-        help="bound the admission queue; overflow requests answer "
-             "{'status': 'rejected'} instead of queueing unboundedly",
     )
     parser.add_argument(
         "--chunk-timeout", type=float, default=None, metavar="S",
@@ -128,26 +124,38 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
         help="probability a cache entry's first read arrives truncated",
     )
     fault.add_argument(
-        "--fault-line-rate", type=float, default=0.0, metavar="P",
-        help="probability a request line arrives mangled",
-    )
-    fault.add_argument(
         "--fault-conn-rate", type=float, default=0.0, metavar="P",
-        help="(--tcp only) probability an accepted connection is dropped",
+        help="probability an accepted connection is dropped (stdin/stdout "
+             "is connection 0)",
     )
     fault.add_argument(
         "--fault-frame-rate", type=float, default=0.0, metavar="P",
-        help="(--tcp only) probability a request frame arrives mangled",
+        help="probability a request frame arrives mangled",
     )
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
+    # Validate everything before loading policies: on a cache miss that
+    # load trains for minutes and writes into artifacts/.
+    for flag, value in (
+        ("--workers", args.workers),
+        ("--slots", args.slots),
+        ("--max-pending", args.max_pending),
+        ("--max-inflight", args.max_inflight),
+    ):
+        if value is not None and value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
+    host, port = "127.0.0.1", 0
+    if args.tcp is not None:
+        host_text, _, port_text = args.tcp.rpartition(":")
+        if not port_text.isdecimal() or int(port_text) > 65535:
+            print(f"--tcp expects HOST:PORT with a port in 0-65535, got {args.tcp!r}",
+                  file=sys.stderr)
+            return 2
+        host, port = host_text or host, int(port_text)
 
     from repro.reliability import FaultPlan, RetryPolicy
     from repro.serving.cache import ResultCache
-    from repro.serving.jsonl import serve_jsonl
-    from repro.serving.service import EvaluationService
+    from repro.serving.server import EvaluationServer
 
     fault_plan = None
     if args.fault_seed is not None:
@@ -157,7 +165,6 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
             hard_crash=args.fault_hard_crash,
             hang_rate=args.fault_hang_rate,
             cache_corrupt_rate=args.fault_cache_rate,
-            malformed_line_rate=args.fault_line_rate,
             connection_drop_rate=args.fault_conn_rate,
             frame_corrupt_rate=args.fault_frame_rate,
         )
@@ -176,43 +183,11 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
             max_entries=args.max_entries,
             fault_plan=fault_plan,
         )
-    if args.tcp is not None:
-        return _serve_tcp(args, policies, cache, fault_plan, retry)
-    with EvaluationService(
-        policies,
-        workers=args.workers,
-        slots=args.slots,
-        cache=cache,
-        use_cache=not args.no_cache,
-        max_queue=args.max_queue,
-        retry=retry,
-        chunk_timeout=args.chunk_timeout,
-        fault_plan=fault_plan,
-    ) as service:
-        served = serve_jsonl(
-            service, stdin or sys.stdin, stdout or sys.stdout, fault_plan=fault_plan
-        )
-    print(f"[served {served} requests]", file=sys.stderr)
-    return 0
-
-
-def _serve_tcp(args, policies, cache, fault_plan, retry) -> int:
-    """Run the asyncio TCP front end until interrupted (SIGINT exits 0)."""
-    import asyncio
-
-    from repro.serving.server import EvaluationServer
-
-    host, _, port_text = args.tcp.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(f"--tcp expects HOST:PORT, got {args.tcp!r}", file=sys.stderr)
-        return 2
 
     async def _run() -> None:
         server = EvaluationServer(
             policies,
-            host or "127.0.0.1",
+            host,
             port,
             workers=args.workers,
             slots=args.slots,
@@ -224,10 +199,17 @@ def _serve_tcp(args, policies, cache, fault_plan, retry) -> int:
             chunk_timeout=args.chunk_timeout,
             fault_plan=fault_plan,
         )
-        await server.start()
-        print(f"[serving on {server.host}:{server.port}]", file=sys.stderr, flush=True)
         try:
-            await server.serve_forever()
+            if args.tcp is None:
+                # Raw stdin: unlike its buffered wrapper it has no lock for a
+                # read still blocked at exit (after SIGINT) to hold.
+                await server.serve_stdio(
+                    stdin or sys.stdin.buffer.raw, stdout or sys.stdout.buffer
+                )
+            else:
+                await server.start()
+                print(f"[serving on {server.host}:{server.port}]", file=sys.stderr, flush=True)
+                await server.serve_forever()
         except asyncio.CancelledError:
             pass
         finally:

@@ -1,17 +1,16 @@
-"""stdin/stdout JSONL front-end for the evaluation service (``repro-serve``).
+"""The JSONL request/response schema of the evaluation service.
 
-One request per line::
+One request per line, over stdin/stdout or a TCP connection (both served by
+:class:`~repro.serving.server.EvaluationServer`)::
 
     {"id": "r1", "system": "corki-5", "instructions": ["lift the red block"], "seed": 3}
-    {"id": "r2", "system": "roboflamingo", "instruction": "push the blue block left", "seed": 3, "lane": 1}
+    {"id": "r2", "system": "roboflamingo", "instruction": "move the blue block to the left zone", "seed": 3, "lane": 1}
 
-A **blank line** (or end of input) flushes the accumulated batch through
-:meth:`~repro.serving.service.EvaluationService.drain` -- requests between
-flushes are served together, so clients that stream several lines before a
-blank line get full continuous-batching throughput.  Each request yields one
-response line, in request order::
+A **blank line** (or end of input) hands the buffered lines to the pending
+batch, so clients that stream several lines before a blank line get full
+continuous-batching throughput.  Each request yields one response line::
 
-    {"id": "r1", "cached": false, "successes": [true], "frames": [41],
+    {"id": "r1", "status": "ok", "cached": false, "successes": [true], "frames": [41],
      "executed_steps": [[5, 5, ...]],
      "estimate": {"system": "corki-5", "frames": 41, "mean_latency_ms": ..., "mean_energy_j": ...}}
 
@@ -20,36 +19,34 @@ the lane-batched pipeline latency/energy model; it is a pure function of the
 request identity and the traces, so cached and fresh responses carry
 identical estimates.
 
-Operations: ``{"op": "stats"}`` flushes, then reports service/cache
-counters.  A malformed line yields ``{"error": ...}`` (with the request's
-``id`` when one parsed) without disturbing the rest of the batch.
-
-Requests may carry ``deadline_ms``; a request the service could not serve
-in time (or shed under admission control) answers with its ``status`` and
-an ``error`` instead of traces::
+``seed``, ``lane``, ``max_frames`` and ``priority`` must be JSON integers
+and ``deadline_ms`` a finite number >= 0; a bad value, a malformed line or
+an unknown instruction answers ``{"status": "error", "error": ...}`` (with
+the request's ``id`` when one parsed) without disturbing the rest of the
+batch.  A request the service could not serve in time, or that admission
+control shed, answers with its ``status`` and an ``error`` instead of
+traces::
 
     {"id": "r9", "status": "timeout", "error": "deadline of 5 ms exceeded"}
-
-Successful responses carry ``"status": "ok"``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO
+import math
 
-from repro.serving.service import EpisodeRequest, EvaluationService
+from repro.serving.service import EpisodeRequest
 
-__all__ = ["request_from_json", "response_to_json", "serve_jsonl"]
+__all__ = ["request_from_json", "response_to_json"]
 
 
 def request_from_json(obj: dict) -> EpisodeRequest:
     """Build a validated :class:`EpisodeRequest` from one decoded line.
 
-    Instructions are resolved against the task registry *here*, so a typo'd
-    instruction yields a per-request error response instead of surfacing as
-    an exception mid-drain (possibly from a worker process) and killing the
-    whole batch.
+    Instructions are resolved against the task registry *here*, and numeric
+    fields are type-checked here, so a typo'd instruction or a ``3.7`` seed
+    yields a per-request error response naming the problem instead of
+    surfacing as an exception mid-drain (possibly from a worker process) or
+    being silently truncated.
     """
     from repro.sim.tasks import task_by_instruction
 
@@ -61,26 +58,31 @@ def request_from_json(obj: dict) -> EpisodeRequest:
         raise ValueError("a request needs 'instructions' (list) or 'instruction'")
     for text in instructions:
         task_by_instruction(text)  # raises KeyError naming the instruction
-    kwargs = {}
-    for key in ("lane", "layout", "max_frames", "priority"):
-        if key in obj:
-            kwargs[key] = obj[key] if key == "layout" else int(obj[key])
-    if obj.get("deadline_ms") is not None:
-        kwargs["deadline_ms"] = float(obj["deadline_ms"])
-    return EpisodeRequest(
-        system=obj["system"],
-        instructions=instructions,
-        seed=int(obj["seed"]),
-        **kwargs,
-    )
+    kwargs = {key: obj[key] for key in ("lane", "layout", "max_frames", "priority") if key in obj}
+    kwargs["seed"] = obj["seed"]
+    for key in ("seed", "lane", "max_frames", "priority"):
+        value = kwargs.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    deadline = obj.get("deadline_ms")
+    if deadline is not None:
+        if (
+            not isinstance(deadline, (int, float))
+            or isinstance(deadline, bool)
+            or not math.isfinite(deadline)
+            or deadline < 0
+        ):
+            raise ValueError(f"'deadline_ms' must be a finite number >= 0, got {deadline!r}")
+        kwargs["deadline_ms"] = float(deadline)
+    return EpisodeRequest(system=obj["system"], instructions=instructions, **kwargs)
 
 
 def response_to_json(result, request_id=None) -> dict:
     """One response object for one :class:`ServedResult`.
 
-    A non-``ok`` result (timeout, rejection) answers with its status and
-    error only -- there are no traces to report, and emitting empty success
-    lists would read as "ran and failed" rather than "never ran".
+    A non-``ok`` result (a timeout) answers with its status and error only
+    -- there are no traces to report, and emitting empty success lists
+    would read as "ran and failed" rather than "never ran".
     """
     if not result.ok:
         response = {"status": result.status, "error": result.error}
@@ -99,67 +101,3 @@ def response_to_json(result, request_id=None) -> dict:
     if request_id is not None:
         response = {"id": request_id, **response}
     return response
-
-
-def serve_jsonl(
-    service: EvaluationService,
-    stdin: IO[str],
-    stdout: IO[str],
-    fault_plan=None,
-) -> int:
-    """Run the request loop until ``stdin`` closes; returns requests served.
-
-    The loop batches lines until a blank line / ``stats`` op / EOF, drains
-    the service once per batch, and writes one response line per request in
-    request order, flushing ``stdout`` after every batch so an interactive
-    client sees its answers immediately.
-
-    ``fault_plan`` (a :class:`repro.reliability.FaultPlan`) optionally
-    mangles request lines as if the transport truncated them -- each mangled
-    line must surface as a per-line ``{"error": ...}`` response, never kill
-    the loop; the chaos suite drives this path.
-    """
-    batch: list[tuple[object, EpisodeRequest]] = []
-    served = 0
-    line_index = -1
-
-    def emit(obj: dict) -> None:
-        stdout.write(json.dumps(obj) + "\n")
-
-    def flush() -> None:
-        nonlocal served
-        if batch:
-            results = service.serve([request for _, request in batch])
-            for (request_id, _), result in zip(batch, results):
-                emit(response_to_json(result, request_id))
-            served += len(batch)
-            batch.clear()
-        stdout.flush()
-
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            flush()
-            continue
-        line_index += 1
-        if fault_plan is not None and fault_plan.mangles_line(line_index):
-            line = fault_plan.mangle_line(line)
-        request_id = None
-        try:
-            obj = json.loads(line)
-            request_id = obj.get("id")
-            if obj.get("op") == "stats":
-                flush()
-                emit({"stats": service.stats()})
-                stdout.flush()
-                continue
-            batch.append((request_id, request_from_json(obj)))
-        except Exception as error:
-            flush()  # keep response order aligned with request order
-            payload = {"error": str(error) or type(error).__name__}
-            if request_id is not None:
-                payload = {"id": request_id, **payload}
-            emit(payload)
-            stdout.flush()
-    flush()
-    return served

@@ -1,22 +1,26 @@
-"""The asyncio TCP/JSONL front end of the evaluation service.
+"""The asyncio front end of the evaluation service: one loop, two transports.
 
 ``EvaluationService`` is deliberately single-threaded: continuous batching
 happens *inside* a drain, which keeps the determinism contract auditable.
-This module owns everything that is not -- sockets, concurrent clients,
-admission under load -- and feeds the service whole batches:
+This module owns everything that is not -- transports, concurrent clients,
+admission under load -- and feeds the service whole batches.  A TCP
+connection (:meth:`EvaluationServer.start`) and stdin/stdout
+(:meth:`EvaluationServer.serve_stdio`, connection 0) run the same
+per-connection handler, so everything below holds on both:
 
-* **Framing** is the stdin protocol verbatim (:mod:`repro.serving.jsonl`):
-  one JSON request per line; a **blank line** flushes the connection's
-  buffered frames into the server's pending batch, so clients that stream
-  several lines before a blank line get full continuous-batching
-  throughput.  EOF and the ``stats`` op flush too.
+* **Framing** (:mod:`repro.serving.jsonl` owns the schema): one JSON
+  request per line; a **blank line** flushes the connection's buffered
+  frames into the server's pending batch, so clients that stream several
+  lines before a blank line get full continuous-batching throughput.  EOF
+  and the ``stats`` op flush too.  Lines flushed while a drain runs join
+  the next drain.
 * **Admission control** is server-wide: ``max_pending`` bounds the pending
-  batch, and an overflowing frame is answered immediately with the same
-  ``{"status": "rejected", "error": "admission queue full"}`` envelope the
-  service's own bounded queue produces -- shed, never dropped.
-  ``max_inflight`` is per-connection flow control: the server stops
-  *reading* a connection whose unanswered admissions reach the bound, so
-  backpressure propagates to the client through TCP itself.
+  batch, and an overflowing frame is answered immediately with
+  ``{"status": "rejected", "error": "admission queue full"}`` -- shed,
+  never dropped.  ``max_inflight`` is per-connection flow control: the
+  server stops *reading* a connection whose unanswered admissions reach
+  the bound, so backpressure propagates to the client through the
+  transport itself.
 * **Priorities and deadlines** ride on the request schema
   (``"priority"``, ``"deadline_ms"``).  Each dispatched batch is ordered
   by ``(-priority, arrival)`` before it reaches the service, whose
@@ -26,7 +30,7 @@ admission under load -- and feeds the service whole batches:
   (match responses by ``id``).  A request's deadline covers its time in
   the *server's* queue too: the dispatcher subtracts the queue wait from
   ``deadline_ms`` before submission, and the service's cancellation seams
-  (PR 7) evict lanes that expire mid-roll at the next inference boundary.
+  evict lanes that expire mid-roll at the next inference boundary.
 * **Hot reload**: :meth:`EvaluationServer.reload` stages a new trained
   pair; the dispatcher swaps in a fresh service at the next batch boundary
   (sharing the same :class:`~repro.serving.cache.ResultCache`), so
@@ -39,18 +43,20 @@ admission under load -- and feeds the service whole batches:
   and budget-free, both survivable by contract: a dropped connection or a
   mangled frame never disturbs its neighbours.
 
-Determinism contract unchanged: a response served over the socket is
-byte-identical to the same request answered by the in-process service --
-and therefore to ``evaluate_system(workers=1)`` -- because the bytes on
-the wire are produced by the very same :func:`~repro.serving.jsonl.
-response_to_json` the stdin path uses, over the very same service results.
-``tests/test_server.py`` asserts this end to end over a loopback socket.
+Determinism contract: a response is byte-identical to the same request
+answered by the in-process service -- and therefore to
+``evaluate_system(workers=1)`` -- because every response line is produced
+by :func:`~repro.serving.jsonl.response_to_json` over the service's own
+results.  ``tests/test_server.py`` asserts this end to end on both
+transports.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
+import io
 import json
 import threading
 import time
@@ -69,6 +75,62 @@ MAX_LINE_BYTES = 1 << 20
 connection (the tail of the line is unrecoverable framing state)."""
 
 _REJECTED = {"status": "rejected", "error": "admission queue full"}
+
+
+class _Stdio:
+    """The ``StreamReader``/``StreamWriter`` calls the handler makes, over
+    blocking stdin/stdout files: a pipe, a regular file or a text stream.
+
+    Each :meth:`readline` reads one line on a fresh daemon thread, so stdin
+    is read only when the handler asks (flow control and the line bound hold
+    as on a socket) and a read still blocked at exit holds nothing up.  The
+    caller owns both streams.
+    """
+
+    def __init__(self, stdin, stdout, limit: int):
+        self._stdin = stdin
+        self._stdout = stdout
+        self._text_out = isinstance(stdout, io.TextIOBase)
+        self._limit = limit
+
+    async def readline(self) -> bytes:
+        loop = asyncio.get_running_loop()
+        arrived = loop.create_future()
+
+        def read() -> None:
+            try:
+                outcome = self._stdin.readline(self._limit + 1)
+            except Exception as error:  # an unreadable stdin ends the session
+                outcome = ConnectionError(f"stdin: {error}")
+            with contextlib.suppress(RuntimeError):  # the loop closed first
+                loop.call_soon_threadsafe(_fulfil, arrived, outcome)
+
+        threading.Thread(target=read, name="repro-serve-stdin", daemon=True).start()
+        line = await arrived
+        if isinstance(line, ConnectionError):
+            raise line
+        if isinstance(line, str):
+            line = line.encode()
+        if len(line) > self._limit and not line.endswith(b"\n"):
+            raise ValueError(f"line exceeds {self._limit} bytes")
+        return line
+
+    def write(self, data: bytes) -> None:
+        self._stdout.write(data.decode() if self._text_out else data)
+
+    async def drain(self) -> None:
+        self._stdout.flush()
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _fulfil(future: asyncio.Future, value) -> None:
+    if not future.done():
+        future.set_result(value)
 
 
 class _Connection:
@@ -96,7 +158,7 @@ class _PendingEntry:
 
 
 class EvaluationServer:
-    """Serve the JSONL evaluation protocol over a TCP socket.
+    """Serve the JSONL evaluation protocol over TCP or stdin/stdout.
 
     ::
 
@@ -105,10 +167,13 @@ class EvaluationServer:
         ...
         await server.close()
 
+    ``await server.serve_stdio(stdin, stdout)`` serves one stdin/stdout
+    connection in place of ``start()``.
+
     One dispatcher task drains the server-wide pending batch through the
     wrapped :class:`EvaluationService` on a dedicated single-thread
     executor (the service is single-threaded by design; the executor keeps
-    the event loop reading sockets while a batch rolls).  ``clock`` is the
+    the event loop reading its connections while a batch rolls).  ``clock`` is the
     single monotonic time source for queue-wait accounting *and* the
     service's deadline checks -- injectable, so deadline tests advance a
     fake clock instead of sleeping.
@@ -187,8 +252,6 @@ class EvaluationServer:
         self._executor: ThreadPoolExecutor | None = None
 
     def _make_service(self, policies) -> EvaluationService:
-        # No max_queue: admission control lives at the server (max_pending),
-        # where a shed frame can be answered before it ever waits.
         return EvaluationService(
             policies,
             workers=self.workers,
@@ -204,18 +267,31 @@ class EvaluationServer:
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def start(self) -> "EvaluationServer":
-        """Bind the socket and start the dispatcher; resolves ``self.port``."""
+    def _start_dispatcher(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-drain"
         )
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
+
+    async def start(self) -> "EvaluationServer":
+        """Bind the socket and start the dispatcher; resolves ``self.port``."""
+        self._start_dispatcher()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port, limit=self.max_line_bytes
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
+
+    async def serve_stdio(self, stdin, stdout) -> None:
+        """Serve ``stdin``/``stdout`` as connection 0 until stdin ends.
+
+        Returns once every admission from stdin has been answered; call
+        :meth:`close` afterwards.  The streams may be binary or text.
+        """
+        self._start_dispatcher()
+        stdio = _Stdio(stdin, stdout, self.max_line_bytes)
+        await self._handle(stdio, stdio)
 
     async def close(self) -> None:
         """Stop accepting, drain what is pending, release engines."""
@@ -323,9 +399,9 @@ class EvaluationServer:
     def _drain(self, service: EvaluationService, batch: list[_PendingEntry]) -> list[dict]:
         """Executor-side: adjust deadlines for queue wait, drain, serialize.
 
-        Responses are produced by the same :func:`response_to_json` the
-        stdin path uses -- that shared serializer *is* the wire-level
-        byte-identity guarantee the protocol tests pin.
+        Responses are produced by :func:`response_to_json`, the serializer
+        the in-process comparisons use too -- that shared serializer *is*
+        the wire-level byte-identity guarantee the protocol tests pin.
         """
         if self.before_drain is not None:
             self.before_drain([entry.request for entry in batch])
@@ -380,7 +456,7 @@ class EvaluationServer:
                             and not connection.closed
                         ):
                             await connection.gate.wait()
-            await self._flush(connection)  # EOF flushes, like the stdin loop
+            await self._flush(connection)  # EOF flushes, like a blank line
             async with connection.gate:
                 while connection.inflight > 0:
                     await connection.gate.wait()
@@ -435,8 +511,8 @@ class EvaluationServer:
 
         Admission is decided synchronously frame by frame (no awaits
         between decisions), so shedding under a full ``max_pending`` batch
-        is deterministic; shed frames are answered immediately with the
-        service's own rejection envelope.
+        is deterministic; shed frames are answered immediately with a
+        ``rejected`` envelope.
         """
         if not connection.buffer:
             return

@@ -33,8 +33,7 @@ pooled.
 Reliability contract (``tests/test_reliability.py``): a failure degrades a
 *request*, never the process.  Requests carry an optional ``deadline_ms``
 enforced at inference-boundary ticks (an expired request returns a
-structured ``timeout`` result, it does not stall the batch); a bounded
-admission queue sheds overload with structured ``rejected`` results; pooled
+structured ``timeout`` result, it does not stall the batch); pooled
 dispatch retries transient worker crashes with capped backoff and respawns
 dead pools (:meth:`~repro.analysis.parallel.EvaluationPool.
 run_chunks_reliably`); and when a pool exhausts its retry budget the drain
@@ -127,11 +126,10 @@ class EpisodeRequest:
 class ServedResult:
     """A request's outcome: traces on success, a structured failure otherwise.
 
-    ``status`` is ``"ok"`` (traces present, possibly cache-served),
-    ``"timeout"`` (the request's ``deadline_ms`` expired before completion)
-    or ``"rejected"`` (shed by admission control); non-``ok`` results carry
-    an ``error`` string and an empty trace list -- a request is *answered*
-    in every case, never silently dropped.
+    ``status`` is ``"ok"`` (traces present, possibly cache-served) or
+    ``"timeout"`` (the request's ``deadline_ms`` expired before completion);
+    a ``timeout`` carries an ``error`` string and an empty trace list -- a
+    request is *answered* in every case, never silently dropped.
     """
 
     request: EpisodeRequest
@@ -176,17 +174,11 @@ def _resolve_layout(name: str):
 
 @dataclass
 class _Admission:
-    """One queued request plus its admission bookkeeping.
-
-    ``admitted_at`` (service-clock seconds) anchors the request's
-    ``deadline_ms``; ``shed=True`` marks a request the bounded queue turned
-    away at submit time -- it still flows through :meth:`drain` so the
-    caller receives its structured ``rejected`` result in request order.
-    """
+    """One queued request; ``admitted_at`` (service-clock seconds) anchors
+    its ``deadline_ms``."""
 
     request: EpisodeRequest
     admitted_at: float
-    shed: bool = False
 
 
 class EvaluationService:
@@ -203,24 +195,22 @@ class EvaluationService:
     results in submission order.  ``serve`` is submit-all + drain.  The
     service is single-threaded by design -- continuous batching happens
     *inside* a drain (slot refill / async chunk collection), which keeps the
-    determinism story auditable; a network front-end would own the socket
-    loop and feed batches here (``python -m repro.serving`` does exactly
-    that over stdin/stdout JSONL).
+    determinism story auditable; a front end owns the transport loop and
+    feeds batches here (:class:`~repro.serving.server.EvaluationServer`
+    does exactly that over stdin/stdout or TCP, and owns admission control).
 
     ``cache=None`` disables caching (the bench harness measures pure roll
     throughput that way).  ``slots`` bounds in-flight lanes for the
     in-process path; ``fleet_size`` plays that role inside pool workers.
 
-    Reliability knobs: ``max_queue`` bounds the admission queue (overflow is
-    shed with structured ``rejected`` results); ``retry`` /
-    ``chunk_timeout`` govern pooled-dispatch crash recovery; ``fault_plan``
-    injects deterministic failures for chaos tests (it reaches the pool
-    dispatch and the internally-constructed default cache); ``clock`` is
-    the monotonic time source deadlines are measured on (injectable so
-    timeout tests need not sleep).  Use the service as a context manager --
-    or call :meth:`close` -- to return its pool lease; a ``weakref``
-    finalizer (which also runs atexit) backstops leaks when a drain raises
-    and the service is abandoned.
+    Reliability knobs: ``retry`` / ``chunk_timeout`` govern pooled-dispatch
+    crash recovery; ``fault_plan`` injects deterministic failures for chaos
+    tests (it reaches the pool dispatch and the internally-constructed
+    default cache); ``clock`` is the monotonic time source deadlines are
+    measured on (injectable so timeout tests need not sleep).  Use the
+    service as a context manager -- or call :meth:`close` -- to return its
+    pool lease; a ``weakref`` finalizer (which also runs atexit) backstops
+    leaks when a drain raises and the service is abandoned.
     """
 
     def __init__(
@@ -231,7 +221,6 @@ class EvaluationService:
         fleet_size: int = 32,
         cache: ResultCache | None = None,
         use_cache: bool = True,
-        max_queue: int | None = None,
         retry: RetryPolicy | None = None,
         chunk_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
@@ -241,13 +230,10 @@ class EvaluationService:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.policies = policies
         self.workers = workers
         self.slots = slots
         self.fleet_size = fleet_size
-        self.max_queue = max_queue
         self.retry = retry
         self.chunk_timeout = chunk_timeout
         self.fault_plan = fault_plan
@@ -304,23 +290,10 @@ class EvaluationService:
 
     # -- request intake --------------------------------------------------------
 
-    def submit(self, request: EpisodeRequest) -> bool:
-        """Queue one request for the next :meth:`drain`.
-
-        Returns ``False`` when the bounded admission queue is full: the
-        request is *shed*, not dropped -- it still occupies its submission
-        slot and :meth:`drain` answers it with a structured ``rejected``
-        result, so response order always matches request order.
-        """
+    def submit(self, request: EpisodeRequest) -> None:
+        """Queue one request for the next :meth:`drain`."""
         self._check_open()
-        shed = (
-            self.max_queue is not None
-            and sum(not entry.shed for entry in self._queue) >= self.max_queue
-        )
-        if shed:
-            self.health.rejections += 1
-        self._queue.append(_Admission(request, self._clock(), shed=shed))
-        return not shed
+        self._queue.append(_Admission(request, self._clock()))
 
     def serve(self, requests) -> list[ServedResult]:
         """Submit every request, drain, return results in request order."""
@@ -337,8 +310,8 @@ class EvaluationService:
         flag reports.  With caching off every request rolls (the bench
         relies on that to measure pure serving throughput).
 
-        Shed requests answer ``rejected``; requests whose ``deadline_ms``
-        already expired answer ``timeout`` without touching an engine, and
+        Requests whose ``deadline_ms`` already expired answer ``timeout``
+        without touching an engine, and
         in-process lanes that expire *mid-roll* are evicted at the next
         inference boundary -- an expired request never stalls the batch.
         """
@@ -352,11 +325,6 @@ class EvaluationService:
         duplicates: list[tuple[int, _Admission, int]] = []
         for index, admission in enumerate(admissions):
             request = admission.request
-            if admission.shed:
-                results[index] = ServedResult(
-                    request, status="rejected", error="admission queue full",
-                )
-                continue
             if self._expired(admission):
                 self._timeout(index, admission, results)
                 continue
@@ -404,10 +372,9 @@ class EvaluationService:
     def stats(self) -> dict[str, int]:
         """Service + reliability counters plus the cache's.
 
-        ``timeouts`` / ``rejections`` / ``degradations`` are the service's
-        own; ``retries`` / ``respawns`` / ``faults_injected`` come from the
-        leased pool (zeros in-process).  Cache counters ride along when
-        caching is on.
+        ``timeouts`` / ``degradations`` are the service's own; ``retries`` /
+        ``respawns`` / ``faults_injected`` come from the leased pool (zeros
+        in-process).  Cache counters ride along when caching is on.
         """
         cache_stats = self.cache.stats() if self.cache is not None else {}
         pool_health = self._pool.health if self._pool is not None else HealthCounters()
@@ -415,7 +382,6 @@ class EvaluationService:
             "requests_served": self.requests_served,
             "workers": self.workers,
             "timeouts": self.health.timeouts,
-            "rejections": self.health.rejections,
             "degradations": self.health.degradations,
             "retries": pool_health.retries,
             "respawns": pool_health.respawns,

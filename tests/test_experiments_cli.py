@@ -86,3 +86,30 @@ class TestCli:
         assert main(["resources"]) == 0
         out = capsys.readouterr().out
         assert "resources done" in out
+
+
+class TestServeFlagValidation:
+    @pytest.mark.parametrize("flags", [
+        ["--tcp", "127.0.0.1:port"],
+        ["--tcp", "127.0.0.1:65536"],
+        ["--max-pending", "0"],
+        ["--max-inflight", "0"],
+    ])
+    @pytest.mark.parametrize("spelling", ["repro-serve", "repro-experiments serve"])
+    def test_bad_flags_exit_2_before_loading_policies(
+        self, monkeypatch, capsys, flags, spelling
+    ):
+        """A bad serving flag exits 2 with one stderr line -- before the
+        policy load, which on a cache miss trains for minutes."""
+        from repro.serving.__main__ import main as serve_main
+
+        def no_policy_load(*args, **kwargs):
+            raise AssertionError("policies loaded before the flags were checked")
+
+        monkeypatch.setattr(
+            "repro.analysis.evaluation.get_trained_policies", no_policy_load
+        )
+        code = serve_main(flags) if spelling == "repro-serve" else main(["serve", *flags])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flags[0] in err[0]

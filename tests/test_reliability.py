@@ -37,8 +37,8 @@ from repro.reliability import (
     PoolUnhealthy,
     RetryPolicy,
 )
+from repro.serving.__main__ import main as serve_main
 from repro.serving.cache import ResultCache
-from repro.serving.jsonl import serve_jsonl
 from repro.serving.service import EpisodeRequest, EvaluationService
 from repro.sim.world import SEEN_LAYOUT
 
@@ -125,21 +125,21 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(seed=0, crash_rate=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(seed=0, malformed_line_rate=-0.1)
+            FaultPlan(seed=0, frame_corrupt_rate=-0.1)
         with pytest.raises(ValueError):
             FaultPlan(seed=0, faulted_attempts=-1)
 
     def test_decisions_are_deterministic_and_identity_keyed(self):
         plan = FaultPlan(seed=9, crash_rate=0.5, cache_corrupt_rate=0.5,
-                         malformed_line_rate=0.5)
+                         frame_corrupt_rate=0.5)
         clone = FaultPlan(seed=9, crash_rate=0.5, cache_corrupt_rate=0.5,
-                          malformed_line_rate=0.5)
+                          frame_corrupt_rate=0.5)
         keys = [(1, 0, 2), (1, 2, 2), (2, 0, 2)]
         assert [plan.chunk_directive(k, 0) for k in keys] == [
             clone.chunk_directive(k, 0) for k in keys
         ]
-        assert [plan.mangles_line(i) for i in range(8)] == [
-            clone.mangles_line(i) for i in range(8)
+        assert [plan.corrupts_frame(0, i) for i in range(8)] == [
+            clone.corrupts_frame(0, i) for i in range(8)
         ]
         digest = "ab" * 32
         assert plan.corrupts_cache_read(digest, 0) == clone.corrupts_cache_read(digest, 0)
@@ -409,25 +409,7 @@ class TestDeadlines:
 
 
 class TestAdmissionControl:
-    def test_overflow_sheds_with_rejected_results(self, trained, reference):
-        service = EvaluationService(trained, workers=1, slots=4, max_queue=2)
-        requests = job_requests("corki-5", SEED, JOBS)
-        accepted = [service.submit(request) for request in requests]
-        assert accepted == [True, True, False, False]
-        results = service.drain()
-        assert [result.status for result in results] == [
-            "ok", "ok", "rejected", "rejected"
-        ]
-        assert results[2].traces == [] and "queue full" in results[2].error
-        for lane in (0, 1):
-            assert_lane_equal(reference[lane], results[lane].traces)
-        assert service.stats()["rejections"] == 2
-        # The drain emptied the queue: the shed request is admissible now.
-        assert service.submit(requests[2]) is True
-        assert service.drain()[0].status == "ok"
-
     def test_jsonl_surface_reports_statuses(self, trained):
-        service = EvaluationService(trained, workers=1, slots=2, max_queue=1)
         request = job_requests("corki-5", SEED, 2)
         lines = "\n".join([
             json.dumps({"id": "a", "system": "corki-5", "seed": SEED,
@@ -437,12 +419,17 @@ class TestAdmissionControl:
             "",
         ])
         stdout = io.StringIO()
-        serve_jsonl(service, io.StringIO(lines), stdout)
-        first, second = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert first["id"] == "a" and first["status"] == "ok"
-        assert first["successes"] and "estimate" in first
-        assert second == {"id": "b", "status": "rejected",
-                          "error": "admission queue full"}
+        assert serve_main(
+            ["--slots", "2", "--max-pending", "1"],
+            policies=trained, stdin=io.StringIO(lines), stdout=stdout,
+        ) == 0
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        by_id = {response["id"]: response for response in responses}
+        assert len(by_id) == 2
+        assert by_id["a"]["status"] == "ok"
+        assert by_id["a"]["successes"] and "estimate" in by_id["a"]
+        assert by_id["b"] == {"id": "b", "status": "rejected",
+                              "error": "admission queue full"}
 
 
 # -- graceful degradation ------------------------------------------------------
@@ -473,23 +460,30 @@ class TestDegradation:
 class TestMalformedLines:
     def test_mangled_line_errors_without_killing_the_drain(self, trained):
         def plan_for(seed):
-            return FaultPlan(seed=seed, malformed_line_rate=0.5)
+            return FaultPlan(seed=seed, frame_corrupt_rate=0.5)
 
+        # Frame 0 mangled; frame 1 (the same request) and frame 2 (stats) clean.
         seed = next(
             s for s in range(100)
-            if plan_for(s).mangles_line(0) and not plan_for(s).mangles_line(1)
+            if [plan_for(s).corrupts_frame(0, k) for k in range(3)]
+            == [True, False, False]
         )
-        service = EvaluationService(trained, workers=1, slots=2)
         request = job_requests("corki-5", SEED, 1)[0]
         payload = json.dumps({"id": "r", "system": "corki-5", "seed": SEED,
                               "instructions": list(request.instructions)})
-        stdin = io.StringIO(payload + "\n" + payload + "\n\n")
+        stdin = io.StringIO(
+            payload + "\n" + payload + "\n\n" + json.dumps({"op": "stats"}) + "\n"
+        )
         stdout = io.StringIO()
-        served = serve_jsonl(service, stdin, stdout, fault_plan=plan_for(seed))
-        error, ok = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert "error" in error and "status" not in error
+        assert serve_main(
+            ["--slots", "2", "--fault-seed", str(seed), "--fault-frame-rate", "0.5"],
+            policies=trained, stdin=stdin, stdout=stdout,
+        ) == 0
+        error, ok, stats = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert error["status"] == "error" and "id" not in error
         assert ok["id"] == "r" and ok["status"] == "ok"
-        assert served == 1
+        assert stats["stats"]["requests_served"] == 1
+        assert stats["stats"]["frames_corrupted"] == 1
 
 
 # -- pool-lease lifecycle ------------------------------------------------------
@@ -555,9 +549,11 @@ class TestChaosServingSmoke:
     ):
         """`python -m repro.serving` under an armed FaultPlan: every chunk's
         first dispatch crashes and every cache entry's first read arrives
-        truncated, yet every request answers ``ok`` with reference bytes."""
-        from repro.serving.__main__ import main as serve_main
+        truncated, yet every request answers ``ok`` with reference bytes.
 
+        The ``stats`` op between the two copies of the batch is the barrier
+        that makes the second copy its own drain, so it reads the cache
+        entries the first drain wrote."""
         requests = job_requests("corki-5", SEED, 2)
         batch = "\n".join(
             json.dumps({
@@ -567,22 +563,24 @@ class TestChaosServingSmoke:
             })
             for request in requests
         )
+        stats_op = json.dumps({"op": "stats"})
         stdin = io.StringIO(
-            batch + "\n\n" + batch + "\n\n" + json.dumps({"op": "stats"}) + "\n"
+            batch + "\n\n" + stats_op + "\n" + batch + "\n\n" + stats_op + "\n"
         )
         stdout = io.StringIO()
         code = serve_main(
             [
                 "--workers", "2", "--retry-attempts", "3",
                 "--fault-seed", "9", "--fault-crash-rate", "1.0",
-                "--fault-cache-rate", "1.0", "--max-queue", "8",
+                "--fault-cache-rate", "1.0", "--max-pending", "8",
             ],
             policies=trained, stdin=stdin, stdout=stdout,
         )
         assert code == 0
         lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        responses, stats = lines[:-1], lines[-1]["stats"]
-        assert len(responses) == 4
+        assert ["stats" in line for line in lines] == [False, False, True] * 2
+        responses = [line for line in lines if "stats" not in line]
+        stats = lines[-1]["stats"]
         assert all(response["status"] == "ok" for response in responses)
         for response in responses:
             lane = int(response["id"][1:])

@@ -1,11 +1,13 @@
-"""Protocol-level tests for the TCP/JSONL serving front end.
+"""Protocol-level tests for the JSONL serving front end.
 
-Every test here drives a *real* asyncio server over a loopback socket
-(:func:`repro.serving.server.start_server_thread`), because the properties
-under test live at the protocol boundary: wire **byte-identity** with the
-in-process service (and therefore with ``evaluate_system(workers=1)``),
-out-of-order completion under mixed priorities, deadline expiry mid-flight,
-admission shedding under a full pending batch, malformed frames erroring
+Every test here drives a *real* asyncio server -- over a loopback socket
+(:func:`repro.serving.server.start_server_thread`) or over stdin/stdout
+(:meth:`repro.serving.server.EvaluationServer.serve_stdio`) -- because the
+properties under test live at the protocol boundary: wire **byte-identity**
+with the in-process service (and therefore with
+``evaluate_system(workers=1)``) on both transports, out-of-order completion
+under mixed priorities, deadline expiry mid-flight, admission shedding under
+a full pending batch, flow control on stdin, malformed frames erroring
 per-connection without killing the server, keyed connection/frame fault
 injection, and hot policy-weight reload mid-drain.
 
@@ -16,6 +18,8 @@ time for deadlines) and two seams -- ``batch_started`` on the event loop,
 needs to race an admission or a reload against it.
 """
 
+import asyncio
+import io
 import json
 import socket
 import threading
@@ -31,10 +35,11 @@ from repro.analysis.parallel import (
     shutdown_pools,
 )
 from repro.reliability import FaultPlan
+from repro.serving.__main__ import main as serve_main
 from repro.serving.cache import ResultCache, policy_digest
 from repro.serving.client import ServingClient
 from repro.serving.jsonl import request_from_json, response_to_json
-from repro.serving.server import start_server_thread
+from repro.serving.server import EvaluationServer, start_server_thread
 from repro.serving.service import EvaluationService
 from repro.sim.tasks import TASKS, sample_job
 from repro.sim.world import SEEN_LAYOUT
@@ -102,18 +107,31 @@ def expected_line(service_result, request_id) -> bytes:
 # -- byte identity -------------------------------------------------------------
 
 
-class TestWireByteIdentity:
-    def test_tcp_bytes_match_in_process_service_and_batch_eval(self, trained):
-        """The acceptance property: a response served over the socket is
-        byte-identical to the in-process service's serialization of the same
-        request -- and its traces match ``evaluate_system(workers=1)``."""
-        frames = job_frames("corki-5", 11, 2)
+def served_wire(trained, transport: str, frames: list[dict]) -> list[bytes]:
+    """The response lines for one flushed batch of ``frames``, as sent."""
+    if transport == "tcp":
         with start_server_thread(trained, slots=2) as handle:
             with ServingClient(handle.host, handle.port) as client:
                 for frame in frames:
                     client.send(frame)
                 client.flush()
-                wire = [client.recv_raw() for _ in frames]
+                return [client.recv_raw() for _ in frames]
+    stdin = io.StringIO("".join(json.dumps(frame) + "\n" for frame in frames) + "\n")
+    stdout = io.StringIO()
+    assert serve_main(["--slots", "2"], policies=trained, stdin=stdin, stdout=stdout) == 0
+    return [line.encode() for line in stdout.getvalue().splitlines(keepends=True)]
+
+
+class TestWireByteIdentity:
+    @pytest.mark.parametrize("transport", ["tcp", "stdio"])
+    def test_wire_bytes_match_in_process_service_and_batch_eval(
+        self, trained, transport
+    ):
+        """The acceptance property: a response served over either transport
+        is byte-identical to the in-process service's serialization of the
+        same request -- and its traces match ``evaluate_system(workers=1)``."""
+        frames = job_frames("corki-5", 11, 2)
+        wire = served_wire(trained, transport, frames)
 
         requests = [request_from_json(frame) for frame in frames]
         with EvaluationService(trained, workers=1, slots=2) as service:
@@ -254,27 +272,76 @@ class TestAdmission:
             finally:
                 release.set()
 
+    def test_stdin_is_not_read_past_max_inflight(self, trained):
+        """``max_inflight=1`` on the stdio transport: while the first
+        admission's drain is held, stdin is not read past the blank line
+        that admitted it; reading resumes once the response is written."""
+        overran = threading.Event()
+
+        class RecordingStdin(io.StringIO):
+            lines_read = 0
+
+            def readline(self, size=-1):
+                self.lines_read += 1
+                if self.lines_read > 2:
+                    overran.set()
+                return super().readline(size)
+
+        frames = [quick_frame("i0", 0), quick_frame("i1", 1)]
+        stdin = RecordingStdin("".join(json.dumps(frame) + "\n\n" for frame in frames))
+        stdout = io.StringIO()
+        held: list[bool] = []
+
+        def hold(requests):
+            if not held:  # an unthrottled reader would take line 3 now
+                held.append(overran.wait(timeout=0.5))
+
+        async def serve() -> None:
+            server = EvaluationServer(
+                trained, slots=2, max_inflight=1, before_drain=hold
+            )
+            await server.serve_stdio(stdin, stdout)
+            await server.close()
+
+        asyncio.run(serve())
+        assert held == [False]
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [r["id"] for r in responses] == ["i0", "i1"]
+        assert all(r["status"] == "ok" for r in responses)
+
 
 # -- malformed frames ----------------------------------------------------------
 
 
 class TestMalformedFrames:
     def test_garbage_frames_error_without_killing_the_connection(self, trained):
-        """Binary garbage, truncated JSON and non-object frames each answer
-        an error envelope; the same connection then serves a real request."""
+        """Binary garbage, truncated JSON, non-object frames and non-integer
+        or non-finite numeric fields each answer an error envelope (naming
+        the field where one is at fault); the same connection then serves a
+        real request."""
+        bad_fields = [
+            ("seed", 3.7), ("lane", True), ("priority", 1.9), ("max_frames", 2.5),
+            ("seed", "3"), ("deadline_ms", float("nan")),
+            ("deadline_ms", float("inf")), ("deadline_ms", -1.0),
+        ]
+        cases = [
+            (b"\xff\xfe\x00 binary garbage\n", ""),
+            (b'{"id": "t0", "system": "corki-5", "instr\n', ""),
+            (b"[1, 2, 3]\n", ""),
+        ] + [
+            ((json.dumps({**quick_frame("v", 0), key: value}) + "\n").encode(), key)
+            for key, value in bad_fields
+        ]
         with start_server_thread(trained, slots=2) as handle:
-            with socket.create_connection((handle.host, handle.port)) as sock:
+            # A frame that wrongly parses is buffered, not answered: time out.
+            with socket.create_connection((handle.host, handle.port), timeout=60) as sock:
                 stream = sock.makefile("rwb")
-                for bad in (
-                    b"\xff\xfe\x00 binary garbage\n",
-                    b'{"id": "t0", "system": "corki-5", "instr\n',
-                    b"[1, 2, 3]\n",
-                ):
+                for bad, field in cases:
                     stream.write(bad)
                     stream.flush()
                     response = json.loads(stream.readline())
                     assert response["status"] == "error"
-                    assert "error" in response
+                    assert field in response["error"]
                 stream.write((json.dumps(quick_frame("ok0", 0)) + "\n\n").encode())
                 stream.flush()
                 served = json.loads(stream.readline())

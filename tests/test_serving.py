@@ -29,7 +29,6 @@ from repro.serving.cache import (
     policy_digest,
     result_key,
 )
-from repro.serving.jsonl import serve_jsonl
 from repro.serving.service import (
     EpisodeRequest,
     EvaluationService,
@@ -393,43 +392,15 @@ class TestServicePooled:
 
 
 class TestJsonlProtocol:
-    def run_lines(self, service, lines):
+    def run_lines(self, trained, lines):
+        from repro.serving.__main__ import main
+
         out = io.StringIO()
-        serve_jsonl(service, io.StringIO("\n".join(lines) + "\n"), out)
+        stdin = io.StringIO("\n".join(lines) + "\n")
+        assert main(["--slots", "2"], policies=trained, stdin=stdin, stdout=out) == 0
         return [json.loads(line) for line in out.getvalue().splitlines()]
 
-    def test_request_response_round_trip(self, trained):
-        batch = evaluate_system(trained, "roboflamingo", SEEN_LAYOUT, jobs=2, seed=17)
-        service = EvaluationService(trained, workers=1, slots=2)
-        requests = job_requests("roboflamingo", 17, 2)
-        lines = [
-            json.dumps(
-                {
-                    "id": f"r{request.lane}",
-                    "system": request.system,
-                    "instructions": list(request.instructions),
-                    "seed": request.seed,
-                    "lane": request.lane,
-                }
-            )
-            for request in requests
-        ]
-        responses = self.run_lines(service, lines)
-        assert [response["id"] for response in responses] == ["r0", "r1"]
-        # Compare against the batch run lane by lane (its traces are flat,
-        # in lane order; each response declares its own episode count).
-        flat = iter(batch.traces)
-        for response in responses:
-            assert response["cached"] is False
-            expected = [next(flat) for _ in response["successes"]]
-            assert response["successes"] == [trace.success for trace in expected]
-            assert response["frames"] == [trace.frames for trace in expected]
-            assert response["executed_steps"] == [
-                trace.executed_steps for trace in expected
-            ]
-
     def test_stats_and_errors_do_not_break_the_loop(self, trained):
-        service = EvaluationService(trained, workers=1, slots=2)
         request = job_requests("roboflamingo", 17, 1)[0]
         lines = [
             "this is not json",
@@ -447,7 +418,7 @@ class TestJsonlProtocol:
                 }
             ),
         ]
-        responses = self.run_lines(service, lines)
+        responses = self.run_lines(trained, lines)
         assert "error" in responses[0]
         assert responses[1]["id"] == "bad" and "error" in responses[1]
         assert responses[2]["id"] == "typo" and "unknown instruction" in responses[2]["error"]
