@@ -7,7 +7,7 @@ from repro import constants
 from repro.pipeline import SystemStages, simulate_baseline, simulate_corki
 
 
-def test_fleet_traces_drive_pipeline_model(benchmark, bench_policies):
+def test_fleet_traces_drive_pipeline_model(benchmark, tiny_policies):
     """[fig13 path] fleet-measured executed steps feeding the latency model.
 
     Rolls a small Corki fleet and replays the concatenated per-lane
@@ -17,7 +17,7 @@ def test_fleet_traces_drive_pipeline_model(benchmark, bench_policies):
     from repro.core import VARIATIONS, run_corki_fleet
     from repro.sim import SEEN_LAYOUT, TASKS, ManipulationEnv
 
-    _, corki, _ = bench_policies
+    _, corki, _ = tiny_policies
 
     def run():
         n = 8
@@ -33,16 +33,12 @@ def test_fleet_traces_drive_pipeline_model(benchmark, bench_policies):
 
 
 @pytest.mark.parametrize("n", (1, 8, 32, 128))
-def test_pipeline_lane_batch(benchmark, fleet_bench_records, n):
+def test_pipeline_lane_batch(benchmark, n):
     """[fig13 batched] ``simulate_lanes`` throughput across the fleet axis.
 
     One Corki-5 pipeline trace per lane, every lane on its own keyed jitter
-    stream -- the shape ``FleetEstimator`` prices a fleet with.  Lanes/sec
-    lands in the session fleet record (policy ``pipeline-lanes``), so
-    ``BENCH_fleet.json`` carries the pipeline-model axis next to the
-    closed-loop episode axes.
+    stream -- the shape ``FleetEstimator`` prices a fleet with.
     """
-    from repro.analysis.fleet_bench import episodes_per_second
     from repro.pipeline import PipelineLane, lane_jitter_rng, simulate_lanes
 
     def make_lanes():
@@ -51,24 +47,11 @@ def test_pipeline_lane_batch(benchmark, fleet_bench_records, n):
             for i in range(n)
         ]
 
-    def run(lanes):
-        return simulate_lanes(lanes)
-
-    arrays = benchmark.pedantic(run, setup=lambda: ((make_lanes(),), {}), rounds=3, iterations=1)
+    arrays = benchmark.pedantic(
+        simulate_lanes, setup=lambda: ((make_lanes(),), {}), rounds=3, iterations=1
+    )
     assert len(arrays) == n
     benchmark.extra_info["lanes"] = n
-    try:
-        eps, rounds = n / benchmark.stats.stats.min, 3
-    except (AttributeError, TypeError, ZeroDivisionError):
-        eps, rounds = episodes_per_second(run, n, rounds=2, setup=make_lanes), 2
-    fleet_bench_records.append(
-        {
-            "policy": "pipeline-lanes",
-            "fleet_size": n,
-            "episodes_per_second": round(eps, 1),
-            "rounds": rounds,
-        }
-    )
 
 
 def test_fig2_baseline_breakdown(benchmark):

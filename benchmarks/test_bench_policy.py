@@ -5,6 +5,8 @@ policy-head inference (the unit Corki amortises over a trajectory) and the
 closed-loop episode machinery behind Tbl. 1/2 and Fig. 11/12.
 """
 
+import copy
+
 import numpy as np
 
 from repro.core import (
@@ -16,66 +18,70 @@ from repro.core import (
 from repro.sim import OBSERVATION_DIM, SEEN_LAYOUT, TASKS, ManipulationEnv
 
 
-def test_baseline_policy_inference(benchmark, bench_policies):
+def test_baseline_policy_inference(benchmark, tiny_policies):
     """One per-frame action prediction (runs every 33 ms frame, Fig. 1a)."""
-    baseline, _, _ = bench_policies
+    baseline, _, _ = tiny_policies
     rng = np.random.default_rng(0)
     window = rng.normal(size=(WINDOW_LENGTH, OBSERVATION_DIM))
     benchmark(baseline.predict, window, 0)
 
 
-def test_baseline_policy_inference_batched(benchmark, bench_policies):
+def test_baseline_policy_inference_batched(benchmark, tiny_policies):
     """32 per-frame predictions in one batched pass (the fleet's hot path)."""
-    baseline, _, _ = bench_policies
+    baseline, _, _ = tiny_policies
     rng = np.random.default_rng(0)
     windows = rng.normal(size=(32, WINDOW_LENGTH, OBSERVATION_DIM))
     instructions = np.arange(32) % len(TASKS)
     benchmark(baseline.predict_batch, windows, instructions)
 
 
-def test_corki_trajectory_inference_batched(benchmark, bench_policies):
+def test_corki_trajectory_inference_batched(benchmark, tiny_policies):
     """32 trajectory predictions in one batched LSTM sweep."""
-    _, corki, _ = bench_policies
+    _, corki, _ = tiny_policies
     rng = np.random.default_rng(0)
     windows = rng.normal(size=(32, WINDOW_LENGTH, corki.token_dim))
     origins = np.zeros((32, 6))
     benchmark(corki.predict_trajectory_batch, windows, origins, 1.0 / 30.0)
 
 
-def test_corki_trajectory_inference(benchmark, bench_policies):
+def test_corki_trajectory_inference(benchmark, tiny_policies):
     """One trajectory prediction (runs once per executed trajectory, Fig. 1b)."""
-    _, corki, _ = bench_policies
+    _, corki, _ = tiny_policies
     rng = np.random.default_rng(0)
     tokens = rng.normal(size=(WINDOW_LENGTH, corki.token_dim))
     origin = np.zeros(6)
     benchmark(corki.predict_trajectory, tokens, origin, 1.0 / 30.0)
 
 
-def test_corki_token_encode(benchmark, bench_policies):
+def test_corki_token_encode(benchmark, tiny_policies):
     """One VLM token encode -- the unit of the 181.3 ms inference stage."""
-    _, corki, _ = bench_policies
+    _, corki, _ = tiny_policies
     rng = np.random.default_rng(0)
     observation = rng.normal(size=OBSERVATION_DIM)
     benchmark(corki.encode_frame_token, observation, 0)
 
 
-def test_training_step_baseline(benchmark, bench_policies):
-    """One optimiser step of Eq. 3 training on a 32-window batch."""
+def test_training_step_baseline(benchmark, tiny_policies):
+    """One optimiser step of Eq. 3 training on a 32-window batch.
+
+    Trains a copy: ``train_baseline`` refits the weights and the normalizer
+    in place, and the session's policy pair is shared.
+    """
     from repro.core import TrainingConfig, train_baseline
 
-    baseline, _, demos = bench_policies
+    baseline, _, demos = tiny_policies
     config = TrainingConfig(epochs=1, batch_size=32)
     subset = demos[:2]
-    benchmark(train_baseline, baseline, subset, config)
+    benchmark(train_baseline, copy.deepcopy(baseline), subset, config)
 
 
-def test_tbl1_episode_baseline(benchmark, bench_policies):
+def test_tbl1_episode_baseline(benchmark, tiny_policies):
     """[tbl1/tbl2] one closed-loop baseline episode (30 Hz control path).
 
     Runs through the fleet engine as a one-lane fleet -- the same code path
     ``benchmarks/test_bench_fleet.py`` scales to 32 lanes.
     """
-    baseline, _, _ = bench_policies
+    baseline, _, _ = tiny_policies
 
     def run():
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(1))
@@ -85,9 +91,9 @@ def test_tbl1_episode_baseline(benchmark, bench_policies):
     assert trace.frames <= 40
 
 
-def test_tbl1_episode_corki5(benchmark, bench_policies):
+def test_tbl1_episode_corki5(benchmark, tiny_policies):
     """[tbl1/tbl2, fig11/fig12] one closed-loop Corki-5 episode (one-lane fleet)."""
-    _, corki, _ = bench_policies
+    _, corki, _ = tiny_policies
 
     def run():
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(1))
@@ -100,7 +106,7 @@ def test_tbl1_episode_corki5(benchmark, bench_policies):
     assert trace.frames <= 40
 
 
-def test_adaptive_termination_decision(benchmark, bench_policies):
+def test_adaptive_termination_decision(benchmark, tiny_policies):
     """Algorithm 1 at deployment scale (paper: <500 FLOPs)."""
     from repro.core import adaptive_termination_step, gripper_change_flags
 

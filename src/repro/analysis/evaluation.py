@@ -51,6 +51,7 @@ __all__ = [
     "get_trained_policies",
     "lane_estimates",
     "lane_generators",
+    "build_lane",
     "roll_lane_chunk",
     "evaluate_system",
     "evaluate_all_systems",
@@ -200,6 +201,34 @@ def lane_generators(
     )
 
 
+def build_lane(
+    system: str,
+    layout: SceneLayout,
+    seed: int,
+    lane: int,
+    tasks: list,
+    max_frames: int = MAX_EPISODE_FRAMES,
+) -> tuple[ManipulationEnv, FleetLane]:
+    """The environment and :class:`FleetLane` of global lane ``lane``.
+
+    The one constructor of an evaluation lane: :func:`roll_lane_chunk` and
+    the serving tier's continuous batching both build lanes here, so a
+    served request and the batch lane at the same ``(seed, lane)`` roll
+    from identical state.
+    """
+    variation: CorkiVariation | None = None
+    if system != "roboflamingo":
+        variation = VARIATIONS[system]
+    env_rng, feedback_rng = lane_generators(seed, lane)
+    return ManipulationEnv(layout, env_rng), FleetLane(
+        tasks=list(tasks),
+        variation=variation,
+        rng=feedback_rng,
+        actuation=TRACKING_30HZ if variation is None else TRACKING_100HZ,
+        max_frames=max_frames,
+    )
+
+
 def roll_lane_chunk(
     policies: TrainedPolicies,
     system: str,
@@ -223,9 +252,6 @@ def roll_lane_chunk(
     processes execute -- sharded and sequential evaluation run literally the
     same code.
     """
-    variation: CorkiVariation | None = None
-    if system != "roboflamingo":
-        variation = VARIATIONS[system]
     if lane_indices is not None and len(lane_indices) != len(lane_jobs):
         raise ValueError("lane_indices must map one global index per job")
 
@@ -233,17 +259,9 @@ def roll_lane_chunk(
     lanes = []
     for offset, tasks in enumerate(lane_jobs):
         index = lane_start + offset if lane_indices is None else lane_indices[offset]
-        env_rng, feedback_rng = lane_generators(seed, index)
-        envs.append(ManipulationEnv(layout, env_rng))
-        lanes.append(
-            FleetLane(
-                tasks=list(tasks),
-                variation=variation,
-                rng=feedback_rng,
-                actuation=TRACKING_30HZ if variation is None else TRACKING_100HZ,
-                max_frames=max_frames,
-            )
-        )
+        env, lane = build_lane(system, layout, seed, index, tasks, max_frames)
+        envs.append(env)
+        lanes.append(lane)
 
     runner = FleetRunner(baseline=policies.baseline, corki=policies.corki)
     per_lane: list[list[EpisodeTrace]] = []

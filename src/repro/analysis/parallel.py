@@ -33,9 +33,8 @@ The pool is cached per (policies, worker count) so a sweep that evaluates
 many systems with the same trained policies (Tbl. 1's seven rollouts) pays
 the spawn cost once; :func:`lease_pool` hands the same warm pool to
 long-lived callers (the :mod:`repro.serving` evaluation service keeps one
-leased between requests, dispatching chunks asynchronously via
-:meth:`EvaluationPool.submit_chunk` so workers stay saturated while new
-requests arrive).
+leased between requests and dispatches each drain's chunks through
+:meth:`EvaluationPool.run_chunks_reliably`).
 
 Determinism guarantees of this module: worker-side rollouts are bitwise
 equal to parent-side rollouts (spawned interpreters, npz-exact policy
@@ -137,14 +136,31 @@ def _load_module_npz(module, payload: bytes) -> None:
         load_state_dict(module, dict(archive.items()))
 
 
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 def archive_policies(policies) -> PolicyArchive:
-    """Serialize a :class:`TrainedPolicies` pair to one picklable payload."""
-    scale = io.BytesIO()
-    np.save(scale, policies.baseline.normalizer.scale)
+    """Serialize a :class:`TrainedPolicies` pair to one picklable payload.
+
+    The archive holds one action scale, which :func:`restore_policies`
+    installs on both policies; a pair whose normalizers differ (each
+    trainer fits its own) raises ``ValueError`` instead of restoring --
+    and digesting -- as a pair it is not.
+    """
+    scale = _npy(policies.baseline.normalizer.scale)
+    if _npy(policies.corki.normalizer.scale) != scale:
+        raise ValueError(
+            "baseline and Corki normalizer scales differ; a policy archive "
+            "stores one shared scale, so train both policies on the same "
+            "demonstrations"
+        )
     return PolicyArchive(
         baseline_npz=_module_npz(policies.baseline),
         corki_npz=_module_npz(policies.corki),
-        normalizer_scale=scale.getvalue(),
+        normalizer_scale=scale,
         token_dim=policies.baseline.token_dim,
         hidden_dim=policies.baseline.hidden_dim,
         demos_per_task=policies.demos_per_task,
@@ -401,16 +417,6 @@ class EvaluationPool:
         """
         self._pool.map(_warm_up, range(2 * self.workers), chunksize=1)
 
-    def run_chunks(self, chunks: Sequence[LaneChunk]) -> list[list[list[EpisodeTrace]]]:
-        """Execute lane chunks; a chunk that fails raises, never drops lanes.
-
-        Transient failures (a crashed worker, a broken result pipe) are
-        retried under the default :class:`RetryPolicy` before anything
-        surfaces; deterministic worker exceptions propagate on the first
-        attempt, exactly as before.
-        """
-        return self.run_chunks_reliably(chunks)
-
     def _dispatch(self, chunk: LaneChunk, attempt: int, fault_plan: FaultPlan | None):
         """Queue one chunk attempt, injecting the plan's directive if any."""
         if fault_plan is not None:
@@ -491,16 +497,6 @@ class EvaluationPool:
                 sleep(delay)
             pending = failed
         return results
-
-    def submit_chunk(self, chunk: LaneChunk):
-        """Dispatch one chunk without blocking; returns the ``AsyncResult``.
-
-        This is the continuous-service entry point: the evaluation service
-        queues every pending request's chunk at once and collects results as
-        workers finish, so a slow chunk never idles the rest of the pool.
-        A worker-side failure surfaces from the returned handle's ``get()``.
-        """
-        return self._pool.apply_async(_run_lane_chunk, (chunk,))
 
     def run_oracle_chunks(
         self, chunks: Sequence[OracleChunk]

@@ -7,14 +7,16 @@ Usage::
     repro-experiments --list
     repro-experiments --fleet-size 64 tbl1   # wider evaluation fleets
     repro-experiments --workers 4 tbl1       # shard fleets across 4 processes
-    repro-experiments bench                  # fleet + serving throughput measurement
-    repro-experiments bench --json artifacts/BENCH_fleet.json
     repro-experiments suite                  # expert-oracle task-suite health gate
     repro-experiments suite --episodes 1 --layout seen --workers 2
     repro-experiments serve --workers 2      # JSONL service; takes repro-serve's flags
     repro-experiments lint                   # determinism-contract static analysis
     repro-experiments --result-cache tbl1    # rerun served from the result cache
     REPRO_PROFILE=full repro-experiments tbl1
+
+Throughput is measured outside this CLI: ``perfbench/run.py`` (see
+``perfbench/README.md``) times the evaluation, serving and training paths,
+and ``pytest benchmarks/`` holds the throughput gates.
 """
 
 from __future__ import annotations
@@ -65,13 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=None, metavar="N",
         help="shard each evaluation's fleet lanes across N OS processes; "
              "results are byte-identical to --workers 1 (default: the "
-             "profile's workers; for 'bench', measures the sharded axis at "
-             "exactly N workers)",
-    )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="('bench' only) also write the measurement as a machine-readable "
-             "JSON artifact (the BENCH_fleet.json schema the CI gate reads)",
+             "profile's workers)",
     )
     parser.add_argument(
         "--result-cache", action="store_true",
@@ -100,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list or not args.experiments:
-        print("available experiments:", ", ".join(_ORDER), "(plus: bench, suite, serve, lint)")
+        print("available experiments:", ", ".join(_ORDER), "(plus: suite, serve, lint)")
         return 0
 
     if args.workers is not None and args.workers < 1:
@@ -123,15 +119,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
         return _run_lint(deep=args.deep)
-
-    if "bench" in args.experiments:
-        if len(args.experiments) > 1:
-            print(
-                "'bench' runs alone; invoke other experiments in a separate call",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_bench(args.json, args.workers)
 
     if "suite" in args.experiments:
         if len(args.experiments) > 1:
@@ -257,28 +244,6 @@ def _run_lint(deep: bool = False) -> int:
 
     flags = ["--external"] + (["--deep"] if deep else [])
     return lint_main(flags, prog="repro-experiments lint")
-
-
-def _run_bench(json_path: str | None, workers: int | None = None) -> int:
-    """Measure fleet throughput: episodes/sec across fleet sizes plus the
-    sharded workers axis (``--workers N`` narrows the axis to exactly N)."""
-    from repro.analysis.fleet_bench import (
-        SHARDED_WORKERS,
-        format_report,
-        measure_fleet_throughput,
-        write_bench_json,
-    )
-
-    started = time.perf_counter()
-    print("=== bench (fleet throughput) ===")
-    axis = SHARDED_WORKERS if workers is None else (workers,)
-    report = measure_fleet_throughput(workers=axis)
-    print(format_report(report))
-    if json_path:
-        path = write_bench_json(json_path, report)
-        print(f"[saved {path}]")
-    print(f"--- bench done in {time.perf_counter() - started:.1f}s ---")
-    return 0
 
 
 if __name__ == "__main__":

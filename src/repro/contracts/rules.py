@@ -197,7 +197,7 @@ class NoWallclockRule(Rule):
         "Passing a clock *function* (clock=time.monotonic) is the approved "
         "seam and is not flagged -- only inline calls are."
     )
-    exempt = ("repro.cli", "repro.analysis.fleet_bench", "__main__")
+    exempt = ("repro.cli", "__main__")
 
     _CLOCK_CALLS = {
         "time.time", "time.time_ns", "time.perf_counter",

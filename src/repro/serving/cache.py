@@ -86,6 +86,8 @@ def policy_digest(policies) -> str:
     memo holds a weak reference and re-verifies it, because a bare ``id()``
     key can be recycled by the allocator after the original object dies --
     a stale digest here would serve one model's cached traces as another's.
+    A pair :func:`~repro.analysis.parallel.archive_policies` refuses (the
+    two normalizers differ) raises its ``ValueError`` here too.
     """
     entry = _DIGEST_CACHE.get(id(policies))
     if entry is not None:

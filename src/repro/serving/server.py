@@ -194,7 +194,6 @@ class EvaluationServer:
         *,
         workers: int = 1,
         slots: int = 32,
-        fleet_size: int = 32,
         cache: ResultCache | None = None,
         use_cache: bool = True,
         max_pending: int | None = None,
@@ -215,7 +214,6 @@ class EvaluationServer:
         self.port = port
         self.workers = workers
         self.slots = slots
-        self.fleet_size = fleet_size
         self.use_cache = use_cache
         self.max_pending = max_pending
         self.max_inflight = max_inflight
@@ -256,7 +254,6 @@ class EvaluationServer:
             policies,
             workers=self.workers,
             slots=self.slots,
-            fleet_size=self.fleet_size,
             cache=self.cache,
             use_cache=self.use_cache,
             retry=self.retry,

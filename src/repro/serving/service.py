@@ -199,9 +199,10 @@ class EvaluationService:
     feeds batches here (:class:`~repro.serving.server.EvaluationServer`
     does exactly that over stdin/stdout or TCP, and owns admission control).
 
-    ``cache=None`` disables caching (the bench harness measures pure roll
-    throughput that way).  ``slots`` bounds in-flight lanes for the
-    in-process path; ``fleet_size`` plays that role inside pool workers.
+    ``use_cache=False`` disables caching; otherwise ``cache`` (default: a
+    fresh in-memory cache) serves repeats.  ``slots`` bounds in-flight
+    lanes for the in-process path; pool workers roll their chunks at the
+    evaluation default, ``DEFAULT_FLEET_SIZE``.
 
     Reliability knobs: ``retry`` / ``chunk_timeout`` govern pooled-dispatch
     crash recovery; ``fault_plan`` injects deterministic failures for chaos
@@ -218,7 +219,6 @@ class EvaluationService:
         policies,
         workers: int = 1,
         slots: int = 32,
-        fleet_size: int = 32,
         cache: ResultCache | None = None,
         use_cache: bool = True,
         retry: RetryPolicy | None = None,
@@ -233,7 +233,6 @@ class EvaluationService:
         self.policies = policies
         self.workers = workers
         self.slots = slots
-        self.fleet_size = fleet_size
         self.retry = retry
         self.chunk_timeout = chunk_timeout
         self.fault_plan = fault_plan
@@ -421,27 +420,20 @@ class EvaluationService:
         )
 
     def _lane_for(self, request: EpisodeRequest):
-        """Build the (environment, FleetLane) admission for one request.
-
-        Identical construction to :func:`repro.analysis.evaluation.
-        roll_lane_chunk` for the lane at ``request.lane``; that construction
-        *is* the byte-identity guarantee.
-        """
-        from repro.analysis.evaluation import lane_generators
-        from repro.sim.env import TRACKING_30HZ, TRACKING_100HZ, ManipulationEnv
+        """The (environment, FleetLane) admission for one request: the
+        batch lane at ``(request.seed, request.lane)``, built by the same
+        :func:`repro.analysis.evaluation.build_lane`."""
+        from repro.analysis.evaluation import build_lane
         from repro.sim.tasks import task_by_instruction
 
-        variation = None if request.system == "roboflamingo" else VARIATIONS[request.system]
-        env_rng, feedback_rng = lane_generators(request.seed, request.lane)
-        env = ManipulationEnv(_resolve_layout(request.layout), env_rng)
-        lane = FleetLane(
-            tasks=[task_by_instruction(text) for text in request.instructions],
-            variation=variation,
-            rng=feedback_rng,
-            actuation=TRACKING_30HZ if variation is None else TRACKING_100HZ,
-            max_frames=request.max_frames,
+        return build_lane(
+            request.system,
+            _resolve_layout(request.layout),
+            request.seed,
+            request.lane,
+            [task_by_instruction(text) for text in request.instructions],
+            request.max_frames,
         )
-        return env, lane
 
     def _finish(self, index: int, request: EpisodeRequest, key: str | None,
                 traces: list[EpisodeTrace], results: dict[int, ServedResult]) -> None:
@@ -507,6 +499,7 @@ class EvaluationService:
         logged and counted in ``stats()``, and byte-identical because both
         engines key lane randomness the same way.
         """
+        from repro.analysis.evaluation import DEFAULT_FLEET_SIZE
         from repro.analysis.parallel import LaneChunk, shard_lanes
 
         live: list[tuple[int, _Admission, str | None]] = []
@@ -539,7 +532,7 @@ class EvaluationService:
                     instructions=tuple(
                         entry[1].request.instructions for entry in shard
                     ),
-                    fleet_size=self.fleet_size,
+                    fleet_size=DEFAULT_FLEET_SIZE,
                     max_frames=max_frames,
                     lane_indices=tuple(entry[1].request.lane for entry in shard),
                 ))

@@ -1,4 +1,8 @@
-"""Shared fixtures and hypothesis settings for the test suite."""
+"""Hypothesis settings and small fixtures for the test suite.
+
+The session-wide ``panda_model`` and ``tiny_policies`` fixtures live in the
+root ``conftest.py``, shared with ``benchmarks/``.
+"""
 
 from __future__ import annotations
 
@@ -18,13 +22,6 @@ settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")
-def panda_model():
-    from repro.robot import panda
-
-    return panda()
-
-
-@pytest.fixture(scope="session")
 def planar_model():
     from repro.robot import two_link_planar
 
@@ -34,25 +31,3 @@ def planar_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(scope="session")
-def tiny_policies():
-    """Small policies trained for a couple of epochs; shared by slow tests.
-
-    These are *not* the accuracy-tuned models -- just enough training that
-    closed-loop rollouts behave non-trivially.
-    """
-    import numpy as np
-
-    from repro.core import BaselinePolicy, CorkiPolicy, TrainingConfig, train_baseline, train_corki
-    from repro.sim import OBSERVATION_DIM, SEEN_LAYOUT, TASKS, collect_demonstrations
-
-    rng = np.random.default_rng(0)
-    demos = collect_demonstrations(SEEN_LAYOUT, rng, per_task=3)
-    baseline = BaselinePolicy(OBSERVATION_DIM, len(TASKS), rng, token_dim=16, hidden_dim=32)
-    corki = CorkiPolicy(OBSERVATION_DIM, len(TASKS), rng, token_dim=16, hidden_dim=32)
-    config = TrainingConfig(epochs=1, batch_size=64)
-    train_baseline(baseline, demos, config)
-    train_corki(corki, demos, config)
-    return baseline, corki, demos

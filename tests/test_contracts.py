@@ -543,12 +543,25 @@ def test_experiments_cli_lint_subcommand(capsys):
     assert "reprolint:" in out
 
 
-def test_experiments_cli_lint_deep(capsys):
+def test_experiments_cli_lint_deep(monkeypatch, capsys):
+    """``lint`` runs no whole-program pass; ``lint --deep`` runs every one,
+    in order -- so the CLI must pass ``--deep`` through to reprolint."""
     from repro.cli import main as cli_main
+    from repro.contracts.deep import DEEP_RULES
 
+    ran = []
+    for rule in DEEP_RULES:
+        def spy(project, rule=rule, original=rule.check_project):
+            ran.append(rule.id)
+            return original(project)
+
+        monkeypatch.setattr(rule, "check_project", spy)
+
+    assert cli_main(["lint"]) == 0
+    assert ran == []
     assert cli_main(["lint", "--deep"]) == 0
-    out = capsys.readouterr().out
-    assert "LAYER-SAFE" in out  # the deep waiver census shows in the summary
+    assert ran == [rule.id for rule in DEEP_RULES]
+    assert "reprolint:" in capsys.readouterr().out
 
 
 def test_experiments_cli_lint_runs_alone(capsys):

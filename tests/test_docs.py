@@ -20,18 +20,18 @@ _PROGRAM = re.compile(r"(?:repro-experiments|python -m repro\.cli)\s+([^\n`]*)")
 
 # Flags of the repro-experiments CLI and whether they consume the next token.
 _VALUE_FLAGS = {
-    "--json", "--episodes", "--layout", "--workers", "--fleet-size",
+    "--episodes", "--layout", "--workers", "--fleet-size",
     "--profile", "--slots", "--cache-dir", "--max-entries", "--demos",
     "--epochs", "--result-cache-dir",
 }
-_BARE_FLAGS = {"--list", "--save", "--no-cache", "--result-cache"}
+_BARE_FLAGS = {"--list", "--save", "--no-cache", "--result-cache", "--deep"}
 _ID_TOKEN = re.compile(r"^[a-z][a-z0-9-]*$")
 
 
 def _cli_names() -> set[str]:
     from repro.experiments import EXPERIMENTS
 
-    return set(EXPERIMENTS) | {"all", "bench", "suite", "serve", "lint"}
+    return set(EXPERIMENTS) | {"all", "suite", "serve", "lint"}
 
 
 def _subcommand_mentions(text: str, known: set[str]) -> list[str]:
@@ -97,6 +97,5 @@ def test_checker_catches_a_broken_command():
     assert _subcommand_mentions(
         "repro-experiments --result-cache tbl1", known
     ) == ["tbl1"]
-    assert _subcommand_mentions(
-        "repro-experiments bench --json artifacts/BENCH_fleet.json", known
-    ) == ["bench"]
+    assert _subcommand_mentions("repro-experiments lint --deep", known) == ["lint"]
+    assert "bench" not in known

@@ -11,6 +11,7 @@ Also covers the satellite bugfixes that share this seam: the re-keyed
 and Corki-SW's list aliasing in ``evaluate_all_systems``.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -34,6 +35,8 @@ from repro.analysis.parallel import (
     shard_lanes,
     shutdown_pools,
 )
+from repro.serving.cache import policy_digest
+from repro.sim.dataset import ActionNormalizer
 from repro.sim.tasks import TASK_FAMILIES, Task
 from repro.sim.world import SEEN_LAYOUT
 
@@ -84,6 +87,22 @@ class TestPolicyArchive:
             trained.baseline.normalizer.scale, restored.baseline.normalizer.scale
         )
         assert restored.demos_per_task == trained.demos_per_task
+
+    def test_mismatched_normalizers_are_refused(self, trained, tiny_policies):
+        """The archive carries one action scale, installed on both policies
+        by ``restore_policies``.  A pair whose trainers fit different
+        normalizers must not archive, digest or ship to workers as that
+        one scale -- pool workers would roll Corki lanes mis-scaled."""
+        corki = copy.deepcopy(trained.corki)
+        corki.set_normalizer(ActionNormalizer.fit(tiny_policies[2][:5]))
+        assert not np.array_equal(corki.normalizer.scale, trained.baseline.normalizer.scale)
+        mismatched = TrainedPolicies(trained.baseline, corki, 3, 1)
+        with pytest.raises(ValueError, match="normalizer"):
+            archive_policies(mismatched)
+        with pytest.raises(ValueError, match="normalizer"):
+            policy_digest(mismatched)
+        with pytest.raises(ValueError, match="normalizer"):
+            evaluate_system(mismatched, "corki-5", SEEN_LAYOUT, jobs=2, workers=2)
 
 
 class TestShardedEvaluation:
