@@ -22,7 +22,7 @@ def test_matmul_forward_backward(benchmark):
 def test_lstm_window_forward(benchmark):
     rng = np.random.default_rng(0)
     lstm = LSTM(48, 96, rng)
-    sequence = [Tensor(rng.normal(size=(32, 48))) for _ in range(12)]
+    sequence = Tensor(rng.normal(size=(32, 12, 48)))
     benchmark(lstm, sequence)
 
 
@@ -34,9 +34,7 @@ def test_lstm_training_step(benchmark):
     targets = rng.normal(size=(16, 32))
 
     def run():
-        sequence = [Tensor(xs[:, t, :]) for t in range(8)]
-        _, (h, _) = lstm(sequence)
-        loss = mse_loss(h, targets)
+        loss = mse_loss(lstm(Tensor(xs)), targets)
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.config import PREDICTION_HORIZON
 from repro.core.trajectory import CubicTrajectory, polynomial_design_matrix
+from repro.nn.functional import mix_slots
 from repro.nn.layers import LSTM, MLP, Module
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.vit import PatchFeatureEncoder
@@ -87,16 +88,6 @@ class _PolicyBase(Module):
         """Vision-language tokens for a (batch, window, obs) block."""
         return self.vlm(observations, instruction)
 
-    def _run_lstm(self, tokens: list[Tensor] | Tensor) -> Tensor:
-        """Final hidden state of the window LSTM.
-
-        ``tokens`` is either a per-step list (the training-time masking path
-        builds one) or a single ``(batch, window, token)`` tensor, which the
-        LSTM slices itself so every gate matmul stays batched.
-        """
-        hidden_states, _ = self.lstm(tokens)
-        return hidden_states[-1]
-
     def encode_frame_token_batch(
         self, observations: np.ndarray, instructions: np.ndarray
     ) -> np.ndarray:
@@ -139,8 +130,7 @@ class BaselinePolicy(_PolicyBase):
         Returns ``(pose, gripper_logit)`` where ``pose`` is the *normalised*
         next-frame delta (batch, 6) and ``gripper_logit`` (batch, 1).
         """
-        tokens = self.encode_tokens(observations, instruction)
-        hidden = self._run_lstm(tokens)
+        hidden = self.lstm(self.encode_tokens(observations, instruction))
         return self.pose_head(hidden), self.gripper_head(hidden)
 
     def predict_batch(
@@ -259,20 +249,15 @@ class CorkiPolicy(_PolicyBase):
         )
         masked = 1.0 - np.clip(real + feedback, 0.0, 1.0)
 
-        tokens = self.encode_tokens(observations, instruction)
-        feedback_tokens = self.feedback_encoder(observations)
-        sequence: list[Tensor] = []
-        for t in range(window):
-            keep = Tensor(real[:, t : t + 1])
-            feed = Tensor(feedback[:, t : t + 1])
-            drop = Tensor(masked[:, t : t + 1])
-            mixed = (
-                tokens[:, t, :] * keep
-                + feedback_tokens[:, t, :] * feed
-                + self.mask_embedding * drop
-            )
-            sequence.append(mixed)
-        hidden = self._run_lstm(sequence)
+        mixed = mix_slots(
+            self.encode_tokens(observations, instruction),
+            self.feedback_encoder(observations),
+            self.mask_embedding,
+            real,
+            feedback,
+            masked,
+        )
+        hidden = self.lstm(mixed)
         coefficients = self.coefficient_head(hidden).reshape(batch, 6, 4)
         gripper_logits = self.gripper_head(hidden)
         return coefficients, gripper_logits

@@ -39,7 +39,6 @@ class TrainingConfig:
     gripper_weight: float = 0.5  # the paper's lambda in Eq. 3
     grad_clip: float = 5.0
     seed: int = 7
-    log_every: int = 0  # 0 disables progress printing
 
 
 def deployment_slot_pattern(
@@ -165,7 +164,7 @@ def train_baseline(
     parameters = policy.parameters()
     optimizer = Adam(parameters, lr=config.learning_rate)
     history = []
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(len(windows))
         losses = []
         for start in range(0, len(order), config.batch_size):
@@ -180,8 +179,6 @@ def train_baseline(
             optimizer.step()
             losses.append(loss.item())
         history.append(float(np.mean(losses)))
-        if config.log_every:
-            print(f"[baseline] epoch {epoch + 1}/{config.epochs} loss {history[-1]:.4f}")
     return history
 
 
@@ -212,7 +209,7 @@ def train_corki(
     parameters = policy.parameters()
     optimizer = Adam(parameters, lr=config.learning_rate)
     history = []
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(total)
         # Deployment-pattern masks are the epoch's only random supervision
         # input.  Drawing them per sample in epoch order consumes the
@@ -244,6 +241,4 @@ def train_corki(
             optimizer.step()
             losses.append(loss.item())
         history.append(float(np.mean(losses)))
-        if config.log_every:
-            print(f"[corki] epoch {epoch + 1}/{config.epochs} loss {history[-1]:.4f}")
     return history

@@ -1,13 +1,7 @@
 """Numpy neural substrate: autograd, layers, optimisers, and the VLM stack."""
 
 from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock, TransformerVLM
-from repro.nn.functional import (
-    bce_with_logits,
-    combined_action_loss,
-    huber_loss,
-    mse_loss,
-    softmax,
-)
+from repro.nn.functional import bce_with_logits, mse_loss, softmax
 from repro.nn.layers import (
     LSTM,
     MLP,
@@ -16,9 +10,8 @@ from repro.nn.layers import (
     Linear,
     LSTMCell,
     Module,
-    Sequential,
 )
-from repro.nn.optim import SGD, Adam, clip_gradients
+from repro.nn.optim import Adam, clip_gradients
 from repro.nn.serialization import load_module, load_state_dict, save_module, state_dict
 from repro.nn.tensor import Tensor, as_tensor, concat, no_grad, stack
 from repro.nn.vit import PatchFeatureEncoder
@@ -36,17 +29,13 @@ __all__ = [
     "Module",
     "MultiHeadSelfAttention",
     "PatchFeatureEncoder",
-    "SGD",
-    "Sequential",
     "Tensor",
     "TransformerBlock",
     "TransformerVLM",
     "as_tensor",
     "bce_with_logits",
     "clip_gradients",
-    "combined_action_loss",
     "concat",
-    "huber_loss",
     "load_module",
     "load_state_dict",
     "mse_loss",

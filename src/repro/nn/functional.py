@@ -2,16 +2,17 @@
 
 The paper's training objective (Eq. 3 and Eq. 5) combines a mean-squared
 error on poses/trajectories with a binary cross-entropy on the gripper
-channel, weighted by ``lambda``; both are provided here in autograd form.
+channel, weighted by ``lambda``; both are provided here in autograd form,
+along with Corki's masked token-window mix (Fig. 4).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor, _unbroadcast, as_tensor
 
-__all__ = ["mse_loss", "bce_with_logits", "softmax", "huber_loss", "combined_action_loss"]
+__all__ = ["mse_loss", "bce_with_logits", "softmax", "mix_slots"]
 
 
 def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
@@ -42,25 +43,39 @@ def softmax(logits: Tensor) -> Tensor:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def huber_loss(prediction: Tensor, target: Tensor | np.ndarray, delta: float = 1.0) -> Tensor:
-    """Smooth L1 loss; offered for ablations of the trajectory objective."""
-    diff = prediction - as_tensor(target)
-    abs_diff = np.abs(diff.data)
-    quadratic_mask = (abs_diff <= delta).astype(float)
-    quadratic = diff * diff * 0.5
-    linear = (diff * diff + delta * delta) * (delta / 2.0) / as_tensor(np.maximum(abs_diff, 1e-12))
-    blended = quadratic * Tensor(quadratic_mask) + linear * Tensor(1.0 - quadratic_mask)
-    return blended.mean()
-
-
-def combined_action_loss(
-    pose_prediction: Tensor,
-    pose_target: np.ndarray,
-    gripper_logits: Tensor,
-    gripper_target: np.ndarray,
-    gripper_weight: float,
+def mix_slots(
+    tokens: Tensor,
+    features: Tensor,
+    mask: Tensor,
+    keep: np.ndarray,
+    feed: np.ndarray,
+    drop: np.ndarray,
 ) -> Tensor:
-    """Paper Eq. 3: ``MSE(pose) + lambda * BCE(gripper)``."""
-    return mse_loss(pose_prediction, pose_target) + gripper_weight * bce_with_logits(
-        gripper_logits, gripper_target
-    )
+    """Corki's per-slot window mix (paper Fig. 4), as one graph node.
+
+    Slot ``(b, t)`` of the result is ``tokens * keep + features * feed +
+    mask * drop`` with the ``(batch, window)`` weights taken at ``(b, t)``;
+    ``tokens`` and ``features`` are ``(batch, window, dim)`` and ``mask``
+    is the ``(dim,)`` learned embedding.  The backward adds the mask's
+    per-slot contributions from the last slot to the first, the order in
+    which ``Tensor.backward`` visited the per-slot graph, so its gradient
+    is bitwise unchanged; summing the slots in one broadcast reduction
+    would not be.
+    """
+    keep, feed, drop = (np.asarray(w, dtype=float)[..., None] for w in (keep, feed, drop))
+    data = tokens.data * keep + features.data * feed + mask.data * drop
+    # Stored slot-major, so each LSTM step reads one contiguous (batch, dim)
+    # block, the layout of a per-slot tensor: a GEMM on a one-column operand
+    # takes numpy's vector path, whose bits depend on the stride.
+    data = np.swapaxes(np.ascontiguousarray(np.swapaxes(data, -3, -2)), -3, -2)
+
+    def backward(grad: np.ndarray) -> None:
+        if tokens.requires_grad:
+            tokens._accumulate(grad * keep)
+        if features.requires_grad:
+            features._accumulate(grad * feed)
+        if mask.requires_grad:
+            for t in reversed(range(grad.shape[-2])):
+                mask._accumulate(_unbroadcast(grad[..., t, :] * drop[..., t, :], mask.shape))
+
+    return Tensor._result(data, (tokens, features, mask), backward)

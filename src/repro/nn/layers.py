@@ -12,15 +12,24 @@ Each layer has two forward paths:
   engine's tick budget.  The two paths must stay bitwise equal --
   ``tests/test_nn.py`` asserts ``forward(x).numpy() == infer(x)`` exactly
   for every layer, and the fleet equivalence suite pins it end to end.
+
+``LSTM`` and ``LayerNorm`` record their whole forward as one graph node
+whose backward closure is hand-derived (backpropagation through time for
+the LSTM), instead of one node per elementary op; per-op bookkeeping was
+most of a training step.  Every gradient contribution is the numpy
+expression of the per-op closure it replaces, accumulated in the per-op
+graph's order, so gradients and trained weights are bitwise unchanged --
+``tests/test_training_kernels.py`` pins both layers against the per-op
+graph.  ``Linear``, ``MLP`` and ``Embedding`` stay on the per-op graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, sigmoid_values
+from repro.nn.tensor import Tensor, _unbroadcast, sigmoid_values
 
-__all__ = ["Module", "Linear", "MLP", "LSTMCell", "LSTM", "Embedding", "LayerNorm", "Sequential"]
+__all__ = ["Module", "Linear", "MLP", "LSTMCell", "LSTM", "Embedding", "LayerNorm"]
 
 
 class Module:
@@ -95,18 +104,6 @@ class Linear(Module):
         return x @ self.weight.data + self.bias.data
 
 
-class Sequential(Module):
-    """Apply a list of modules/callables in order."""
-
-    def __init__(self, *stages):
-        self.stages = list(stages)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for stage in self.stages:
-            x = stage(x)
-        return x
-
-
 class MLP(Module):
     """Multi-layer perceptron with tanh hidden activations.
 
@@ -148,18 +145,6 @@ class LSTMCell(Module):
         bias[hidden_size : 2 * hidden_size] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
 
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        gates = x @ self.weight_ih + h_prev @ self.weight_hh + self.bias
-        hs = self.hidden_size
-        i_gate = gates[..., 0:hs].sigmoid()
-        f_gate = gates[..., hs : 2 * hs].sigmoid()
-        g_gate = gates[..., 2 * hs : 3 * hs].tanh()
-        o_gate = gates[..., 3 * hs : 4 * hs].sigmoid()
-        c_next = f_gate * c_prev + i_gate * g_gate
-        h_next = o_gate * c_next.tanh()
-        return h_next, c_next
-
     def infer(
         self,
         gate_inputs: np.ndarray,
@@ -170,7 +155,7 @@ class LSTMCell(Module):
         ``gate_inputs`` is this step's ``x @ weight_ih`` (the input half of
         the fused gate pre-activations, hoisted out of the recurrence by
         :meth:`LSTM.infer`); adding the recurrent projection and bias in the
-        same order as ``forward`` keeps every gate bitwise identical.
+        same order as :meth:`LSTM.forward` keeps every gate bitwise identical.
         """
         h_prev, c_prev = state
         gates = gate_inputs + h_prev @ self.weight_hh.data + self.bias.data
@@ -187,10 +172,6 @@ class LSTMCell(Module):
         h_next = o_gate * np.tanh(c_next)
         return h_next, c_next
 
-    def initial_state(self, batch_shape: tuple[int, ...] = ()) -> tuple[Tensor, Tensor]:
-        shape = batch_shape + (self.hidden_size,)
-        return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
-
 
 class LSTM(Module):
     """Unidirectional LSTM unrolled over the token window.
@@ -202,30 +183,70 @@ class LSTM(Module):
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.cell = LSTMCell(input_size, hidden_size, rng)
 
-    def forward(
-        self,
-        sequence: list[Tensor] | Tensor,
-        state: tuple[Tensor, Tensor] | None = None,
-    ) -> tuple[list[Tensor], tuple[Tensor, Tensor]]:
-        """Run over ``sequence``: a list of ``[batch?, input]`` tensors or one
-        ``(batch, window, input)`` tensor sliced along the window axis.
+    def forward(self, sequence: Tensor) -> Tensor:
+        """Final hidden state over a ``(batch, window, input)`` tensor, as
+        one graph node.
 
-        The recurrence is inherently sequential over the window, but with a
-        batched ``sequence`` every gate matmul sees ``(batch, ...)`` operands,
-        which is what makes fleet evaluation amortise Python overhead.
-        Returns all hidden states plus the final ``(h, c)``.
+        The forward steps the recurrence on raw arrays, one window step at a
+        time, and keeps each step's activations.  The node's backward is
+        backpropagation through time.  Each line computes what one per-op
+        closure computed, with one GEMM per step.  Parameter gradients are
+        accumulated from the last step to the first, the order in which
+        ``Tensor.backward`` visited the per-op graph.  Stacking the steps
+        into one GEMM would change bits (see ``docs/performance.md``).
         """
-        if isinstance(sequence, Tensor):
-            sequence = [sequence[:, t, :] for t in range(sequence.shape[1])]
-        if state is None:
-            batch_shape = sequence[0].shape[:-1]
-            state = self.cell.initial_state(batch_shape)
-        hidden_states = []
-        for token in sequence:
-            h, c = self.cell(token, state)
-            state = (h, c)
-            hidden_states.append(h)
-        return hidden_states, state
+        cell = self.cell
+        hs = cell.hidden_size
+        weight_ih, weight_hh, bias = cell.weight_ih, cell.weight_hh, cell.bias
+        inputs = sequence.data
+        shape = inputs.shape[:-2] + (hs,)
+        h, c = np.zeros(shape), np.zeros(shape)
+        steps = []
+        for t in range(inputs.shape[-2]):
+            x = inputs[..., t, :]
+            gates = x @ weight_ih.data + h @ weight_hh.data + bias.data
+            squashed = sigmoid_values(gates)
+            i, f, o = squashed[..., 0:hs], squashed[..., hs : 2 * hs], squashed[..., 3 * hs :]
+            g = np.tanh(gates[..., 2 * hs : 3 * hs])
+            c_next = f * c + i * g
+            tanh_c = np.tanh(c_next)
+            steps.append((x, h, c, i, f, g, o, tanh_c))
+            h, c = o * tanh_c, c_next
+
+        def backward(grad: np.ndarray) -> None:
+            d_inputs = np.empty_like(inputs) if sequence.requires_grad else None
+            d_gates = np.empty(shape[:-1] + (4 * hs,))
+            d_h, d_c_next = grad, None
+            for t in reversed(range(len(steps))):
+                x, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+                # h = o * tanh(c), then c = f * c_prev + i * g.
+                d_c = d_h * o * (1.0 - tanh_c**2)
+                if d_c_next is not None:
+                    d_c = d_c + d_c_next
+                d_gates[..., 0:hs] = d_c * g * i * (1.0 - i)
+                d_gates[..., hs : 2 * hs] = d_c * c_prev * f * (1.0 - f)
+                d_gates[..., 2 * hs : 3 * hs] = d_c * i * (1.0 - g**2)
+                d_gates[..., 3 * hs :] = d_h * tanh_c * o * (1.0 - o)
+                # gates = x @ weight_ih + h_prev @ weight_hh + bias.
+                if bias.requires_grad:
+                    bias._accumulate(_unbroadcast(d_gates, bias.shape))
+                if weight_ih.requires_grad:
+                    weight_ih._accumulate(
+                        _unbroadcast(np.swapaxes(x, -1, -2) @ d_gates, weight_ih.shape)
+                    )
+                if d_inputs is not None:
+                    d_inputs[..., t, :] = d_gates @ np.swapaxes(weight_ih.data, -1, -2)
+                if weight_hh.requires_grad:
+                    weight_hh._accumulate(
+                        _unbroadcast(np.swapaxes(h_prev, -1, -2) @ d_gates, weight_hh.shape)
+                    )
+                if t:  # the zero initial state needs no gradient
+                    d_h = d_gates @ np.swapaxes(weight_hh.data, -1, -2)
+                    d_c_next = d_c * f
+            if d_inputs is not None:
+                sequence._accumulate(d_inputs)
+
+        return Tensor._result(h, (sequence, weight_ih, weight_hh, bias), backward)
 
     def infer(self, sequence: np.ndarray) -> np.ndarray:
         """Final hidden state over a ``(batch, window, input)`` raw block.
@@ -268,11 +289,37 @@ class LayerNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centred = x - mean
-        variance = (centred * centred).mean(axis=-1, keepdims=True)
-        normalised = centred * (variance + self.eps) ** -0.5
-        return normalised * self.gain + self.shift
+        """Normalise ``x`` as one graph node.
+
+        The backward replays the per-op graph's closures in its order:
+        ``centred`` takes the normalisation's contribution, then the
+        variance square's two, and ``x`` the centring's, then the mean's.
+        """
+        data = x.data
+        count = float(data.shape[-1])
+        centred = data - data.sum(axis=-1, keepdims=True) / count
+        shifted = (centred * centred).sum(axis=-1, keepdims=True) / count + self.eps
+        scale = shifted**-0.5
+        normalised = centred * scale
+        gain, shift = self.gain, self.shift
+
+        def backward(grad: np.ndarray) -> None:
+            if shift.requires_grad:
+                shift._accumulate(_unbroadcast(grad, shift.shape))
+            if gain.requires_grad:
+                gain._accumulate(_unbroadcast(grad * normalised, gain.shape))
+            if not x.requires_grad:
+                return
+            d_normalised = grad * gain.data
+            d_scale = _unbroadcast(d_normalised * centred, scale.shape)
+            d_variance = d_scale * -0.5 * shifted ** (-0.5 - 1)
+            d_square = (d_variance / count) * centred
+            d_centred = d_normalised * scale + d_square + d_square
+            d_mean = -_unbroadcast(d_centred, scale.shape)
+            x._accumulate(d_centred + d_mean / count)
+
+        out = normalised * gain.data + shift.data
+        return Tensor._result(out, (x, gain, shift), backward)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Raw-array forward; bitwise the Tensor ``forward`` (whose ``mean``

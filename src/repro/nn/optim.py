@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["SGD", "Adam", "clip_gradients"]
+__all__ = ["Adam", "clip_gradients"]
 
 
 def clip_gradients(parameters: list[Tensor], max_norm: float) -> float:
@@ -25,28 +25,6 @@ def clip_gradients(parameters: list[Tensor], max_norm: float) -> float:
             if parameter.grad is not None:
                 parameter.grad *= scale
     return norm
-
-
-class SGD:
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: list[Tensor], lr: float, momentum: float = 0.0):
-        self.parameters = parameters
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.lr * parameter.grad
-            parameter.data += velocity
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
 
 
 class Adam:
