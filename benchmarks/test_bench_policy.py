@@ -36,12 +36,14 @@ def test_baseline_policy_inference_batched(benchmark, tiny_policies):
 
 
 def test_corki_trajectory_inference_batched(benchmark, tiny_policies):
-    """32 trajectory predictions in one batched LSTM sweep."""
+    """32 trajectory predictions in one batched LSTM sweep, as arrays."""
     _, corki, _ = tiny_policies
     rng = np.random.default_rng(0)
     windows = rng.normal(size=(32, WINDOW_LENGTH, corki.token_dim))
     origins = np.zeros((32, 6))
-    benchmark(corki.predict_trajectory_batch, windows, origins, 1.0 / 30.0)
+    plans = benchmark(corki.predict_trajectory_batch, windows, origins, 1.0 / 30.0)
+    assert plans.coefficients.shape == (32, 6, 4)
+    assert plans.gripper_open.shape == (32, corki.horizon)
 
 
 def test_corki_trajectory_inference(benchmark, tiny_policies):
@@ -114,3 +116,40 @@ def test_adaptive_termination_decision(benchmark, tiny_policies):
     waypoints = np.cumsum(rng.normal(0.0, 0.005, size=(9, 3)), axis=0)
     flags = gripper_change_flags(np.ones(9, dtype=bool), True)
     benchmark(adaptive_termination_step, np.zeros(3), waypoints, flags, 0.02)
+
+
+def _adaptive_plans(lanes: int):
+    """``lanes`` nine-waypoint plans with no gripper change, so Algorithm 1
+    runs every curvature test it reaches."""
+    from repro.core import gripper_change_flags
+
+    rng = np.random.default_rng(0)
+    waypoints = np.cumsum(rng.normal(0.0, 0.005, size=(lanes, 9, 3)), axis=1)
+    flags = gripper_change_flags(np.ones((lanes, 9), dtype=bool), np.ones(lanes, dtype=bool))
+    return np.zeros((lanes, 3)), waypoints, flags
+
+
+def test_adaptive_termination_decision_lanes(benchmark):
+    """Algorithm 1 for 32 re-planning lanes in one kernel call (the fleet's
+    per-tick call; compare the 32 scalar calls below)."""
+    from repro.core import adaptive_termination_step_lanes
+
+    starts, waypoints, flags = _adaptive_plans(32)
+    steps = benchmark(adaptive_termination_step_lanes, starts, waypoints, flags, 0.02)
+    assert steps.shape == (32,)
+
+
+def test_adaptive_termination_decision_scalar_x32(benchmark):
+    """The same 32 decisions as 32 scalar Algorithm 1 calls."""
+    from repro.core import adaptive_termination_step, adaptive_termination_step_lanes
+
+    starts, waypoints, flags = _adaptive_plans(32)
+
+    def decide():
+        return [
+            adaptive_termination_step(starts[lane], waypoints[lane], flags[lane], 0.02)
+            for lane in range(32)
+        ]
+
+    steps = benchmark(decide)
+    assert steps == adaptive_termination_step_lanes(starts, waypoints, flags, 0.02).tolist()

@@ -38,12 +38,14 @@ from repro.core.training import (
 )
 from repro.core.trajectory import (
     CubicTrajectory,
+    TrajectoryBatch,
     fit_cubic,
     polynomial_design_matrix,
     pose_batch,
 )
 from repro.core.waypoints import (
     adaptive_termination_step,
+    adaptive_termination_step_lanes,
     gripper_change_flags,
     point_line_distance,
     segment_angles,
@@ -65,9 +67,11 @@ __all__ = [
     "PREDICTION_HORIZON",
     "RANDOM_FEEDBACK",
     "TrainingConfig",
+    "TrajectoryBatch",
     "VARIATIONS",
     "WINDOW_LENGTH",
     "adaptive_termination_step",
+    "adaptive_termination_step_lanes",
     "build_baseline_dataset",
     "build_corki_dataset",
     "deployment_slot_pattern",

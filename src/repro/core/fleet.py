@@ -8,23 +8,30 @@ plus one job of chained tasks each) through shared *ticks*, where every tick
 
 1. gathers the Corki lanes sitting at a trajectory boundary and runs **one**
    batched VLM encode plus **one** batched trajectory prediction for all of
-   them (lanes de-synchronise because executed-trajectory lengths differ --
-   the same per-inference bookkeeping ``EpisodeTrace.executed_steps``
-   records);
+   them, and decides every adaptive lane's execution length with one
+   Algorithm 1 call (lanes de-synchronise because executed-trajectory
+   lengths differ -- the same per-inference bookkeeping
+   ``EpisodeTrace.executed_steps`` records);
 2. gathers every baseline lane (which needs inference on *every* frame,
    paper Fig. 1a) into one ``predict_batch`` call;
 3. advances each active lane one camera frame through
    :class:`repro.sim.env.BatchedManipulationEnv`; and
-4. batch-encodes the closed-loop feedback frames captured this tick
-   (paper Sec. 3.4).
+4. settles the tick's bookkeeping as array updates and batch-encodes the
+   closed-loop feedback frames captured this tick (paper Sec. 3.4).
+
+Lane state lives in one slot-indexed store, :class:`LaneArrays` (the lane
+counterpart of :class:`repro.sim.objects.SceneArrays`), so a tick touches
+per-lane Python only where lanes really diverge: episode start and end, the
+lane-private feedback-step draws and the task success predicates.
 
 Each lane owns its random generators, and the batched policy entry points
 pad singleton batches (see ``repro.core.policy._pad_singleton``), so a
 lane's episode is element-wise identical to the one the single-episode
 runner would produce from the same seeds -- ``tests/test_fleet.py`` asserts
-this for every policy kind, including job chaining.  Episodes in a batch
-progress independently: a lane that finishes a task chains into the next
-task of its job (or retires) without stalling its neighbours.
+this for every policy kind, including job chaining, and pins the whole
+runner to a frozen copy of its earlier per-lane-object form.  Episodes in a
+batch progress independently: a lane that finishes a task chains into the
+next task of its job (or retires) without stalling its neighbours.
 
 Determinism contract: the runner owns no randomness and keeps no state
 across lanes, so a lane's traces are a pure function of its environment
@@ -39,21 +46,18 @@ boundary) interchangeable with single-episode rollouts, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.closed_loop import NO_FEEDBACK, schedule_by_name
-from repro.core.config import CorkiVariation
+from repro.core.closed_loop import NO_FEEDBACK, FeedbackSchedule, schedule_by_name
+from repro.core.config import ADAPTIVE_DISTANCE_THRESHOLD, CorkiVariation
 from repro.core.policy import WINDOW_LENGTH, BaselinePolicy, CorkiPolicy
-from repro.core.runner import (
-    MAX_EPISODE_FRAMES,
-    EpisodeTrace,
-    _decide_steps,
-    _reference_path,
-    _TokenWindow,
-)
-from repro.core.trajectory import pose_batch
+from repro.core.runner import MAX_EPISODE_FRAMES, EpisodeTrace, _reference_path
+from repro.core.trajectory import TrajectoryBatch, polynomial_design_matrix, pose_batch
+from repro.core.waypoints import adaptive_termination_step_lanes, gripper_change_flags
+from repro.sim.camera import OBSERVATION_DIM
 from repro.sim.env import (
     TRACKING_100HZ,
     TRACKING_30HZ,
@@ -63,7 +67,16 @@ from repro.sim.env import (
 )
 from repro.sim.tasks import Task
 
-__all__ = ["FleetLane", "FleetRunner", "run_baseline_fleet", "run_corki_fleet"]
+__all__ = ["FleetLane", "FleetRunner", "LaneArrays", "run_baseline_fleet", "run_corki_fleet"]
+
+_WINDOW_OFFSETS = np.arange(1 - WINDOW_LENGTH, 1)
+"""A Corki window's frames relative to the current one, oldest first."""
+_FIRST_ROW = WINDOW_LENGTH
+"""Token-table row of the episode's frame-0 VLM token (warm-up padding)."""
+_MASK_ROW = WINDOW_LENGTH + 1
+"""Token-table row of the learned mask embedding."""
+_NO_FRAME = np.iinfo(np.int64).min
+"""Frame tag of an empty token-table row; no window frame equals it."""
 
 
 @dataclass
@@ -94,187 +107,205 @@ class FleetLane:
             raise ValueError("closed-loop Corki lanes need a lane-private rng")
 
 
-class _LaneState:
-    """Per-lane episode bookkeeping shared by both policy kinds."""
+class LaneArrays:
+    """Episode state of every fleet slot, one row per slot.
 
-    def __init__(self, index: int, env: ManipulationEnv, lane: FleetLane):
-        self.index = index
-        self.env = env
-        self.lane = lane
-        self.task_index = 0
-        self.traces: list[EpisodeTrace] = []
-        self.done = False
-        self._start_episode(chained=lane.chained_start)
+    Row ``s`` describes the lane in slot ``s`` of the fleet's
+    :class:`~repro.sim.env.BatchedManipulationEnv`: its frame counter and
+    task index, the Corki plan (origin, physical coefficients, duration,
+    gripper schedule, executed-step cursor, planned length, feedback step),
+    the paths recorded so far and both policies' token state.  ``active``
+    masks the slots whose lane is still rolling.  Per-lane Python objects
+    are kept only for what differs in kind between lanes: the
+    :class:`FleetLane`, its feedback schedule and actuation model, the
+    episode's reference path and the finished traces.
 
-    @property
-    def task(self) -> Task:
-        return self.lane.tasks[self.task_index]
+    Token state.  A baseline slot keeps the last 12 VLM tokens in a ring
+    (``ring``, newest at ``head``; a fresh episode fills every position
+    with its first token).  A Corki slot keeps a token table: rows ``0..11``
+    hold the inference (VLM) and feedback (ViT) tokens of the last 12
+    frames, at ``frame % 12`` and tagged with their frame; row 12 the
+    episode's first VLM token (every Corki episode plans on its frame 0),
+    row 13 the mask embedding.  A window is one gather over that table: a
+    frame's own token where one was recorded, the first token for frames
+    before the episode started, the mask elsewhere -- the training-time
+    pattern of :func:`repro.core.training.deployment_slot_pattern`.
+    """
 
-    def _start_episode(self, chained: bool) -> None:
-        task = self.task
-        self.observation = (
-            self.env.continue_with(task) if chained else self.env.reset(task)
+    def __init__(
+        self,
+        fleet: BatchedManipulationEnv,
+        baseline: BaselinePolicy | None,
+        corki: CorkiPolicy | None,
+    ):
+        slots = len(fleet)
+        self.fleet = fleet
+        self.lanes: list[FleetLane | None] = [None] * slots
+        self.schedules: list[FeedbackSchedule] = [NO_FEEDBACK] * slots
+        self.actuations: list[ActuationModel] = [TRACKING_30HZ] * slots
+        self.references: list[np.ndarray | None] = [None] * slots
+        self.traces: list[list[EpisodeTrace]] = [[] for _ in range(slots)]
+        self.active = np.zeros(slots, dtype=bool)
+        self.corki = np.zeros(slots, dtype=bool)
+        self.adaptive = np.zeros(slots, dtype=bool)
+        self.fixed_steps = np.zeros(slots, dtype=int)
+        self.max_frames = np.zeros(slots, dtype=int)
+        self.task_index = np.zeros(slots, dtype=int)
+        self.instruction = np.zeros(slots, dtype=int)
+        self.frame = np.zeros(slots, dtype=int)
+        self.observation = np.zeros((slots, OBSERVATION_DIM))
+        self.command = np.zeros((slots, 6))
+        self.command_open = np.zeros(slots, dtype=bool)
+        # Paths and the executed-steps record, sized by reserve().
+        self.path = np.zeros((slots, 1, 6))
+        self.gripper_path = np.zeros((slots, 1), dtype=bool)
+        self.executed = np.zeros((slots, 1), dtype=int)
+        self.executed_count = np.zeros(slots, dtype=int)
+        # Corki plans: steps executed so far, planned length (0 = re-plan
+        # this tick) and the feedback step (0 = none).
+        self.cursor = np.zeros(slots, dtype=int)
+        self.planned = np.zeros(slots, dtype=int)
+        self.feedback_step = np.zeros(slots, dtype=int)
+        horizon = corki.horizon if corki is not None else 0
+        self.origin = np.zeros((slots, 6))
+        self.coefficients = np.zeros((slots, 6, 4))
+        self.duration = np.ones(slots)
+        self.gripper_plan = np.zeros((slots, horizon), dtype=bool)
+        baseline_dim = baseline.token_dim if baseline is not None else 0
+        self.ring = np.zeros((slots, WINDOW_LENGTH, baseline_dim))
+        self.head = np.full(slots, -1)
+        corki_dim = corki.token_dim if corki is not None else 0
+        self.tokens = np.zeros((slots, WINDOW_LENGTH + 2, corki_dim))
+        if corki is not None:
+            self.tokens[:, _MASK_ROW] = corki.mask_token()
+        self.token_frame = np.full((slots, WINDOW_LENGTH), _NO_FRAME)
+
+    # -- lane lifecycle (per-lane Python: lanes diverge here) ----------------
+
+    def reserve(self, max_frames: int) -> None:
+        """Grow the path buffers to hold ``max_frames + 1`` entries per slot."""
+        old = self.path.shape[1]
+        if max_frames + 1 <= old:
+            return
+        slots = len(self.lanes)
+        path = np.zeros((slots, max_frames + 1, 6))
+        gripper_path = np.zeros((slots, max_frames + 1), dtype=bool)
+        executed = np.zeros((slots, max_frames + 1), dtype=int)
+        path[:, :old] = self.path
+        gripper_path[:, :old] = self.gripper_path
+        executed[:, :old] = self.executed
+        self.path, self.gripper_path, self.executed = path, gripper_path, executed
+
+    def admit(self, slot: int, lane: FleetLane) -> None:
+        """Reset row ``slot`` for ``lane`` and start its first episode."""
+        variation = lane.variation
+        self.reserve(lane.max_frames)
+        self.lanes[slot] = lane
+        self.traces[slot] = []
+        self.corki[slot] = variation is not None
+        self.adaptive[slot] = variation is not None and variation.adaptive
+        self.fixed_steps[slot] = (
+            0 if variation is None or variation.adaptive else int(variation.execute_steps)
         )
-        assert self.env.scene is not None
-        self.reference = _reference_path(self.env, task)
-        self.frame = 0
-        self.path = [self.env.scene.ee_pose.copy()]
-        self.gripper_path = [self.env.scene.gripper_open]
-        self.executed: list[int] = []
-        self._reset_episode_state()
+        self.schedules[slot] = (
+            schedule_by_name(variation.feedback)
+            if variation is not None and variation.closed_loop
+            else NO_FEEDBACK
+        )
+        self.actuations[slot] = lane.actuation or (
+            TRACKING_30HZ if variation is None else TRACKING_100HZ
+        )
+        self.max_frames[slot] = lane.max_frames
+        self.task_index[slot] = 0
+        self.active[slot] = True
+        self._start_episode(slot, chained=lane.chained_start)
 
-    def _reset_episode_state(self) -> None:
-        """Hook for per-episode policy state (token windows, trajectories)."""
+    def _start_episode(self, slot: int, chained: bool) -> None:
+        lane = self.lanes[slot]
+        assert lane is not None
+        env = self.fleet.envs[slot]
+        task = lane.tasks[self.task_index[slot]]
+        self.observation[slot] = env.continue_with(task) if chained else env.reset(task)
+        assert env.scene is not None
+        self.references[slot] = _reference_path(env, task)
+        self.instruction[slot] = task.instruction_id
+        self.frame[slot] = 0
+        self.path[slot, 0] = env.scene.ee_pose
+        self.gripper_path[slot, 0] = env.scene.gripper_open
+        self.executed_count[slot] = 0
+        self.cursor[slot] = 0
+        self.planned[slot] = 0
+        self.feedback_step[slot] = 0
+        self.head[slot] = -1
+        self.token_frame[slot] = _NO_FRAME
+        self.tokens[slot, _FIRST_ROW] = self.tokens[slot, _MASK_ROW]
 
-    def _record_frame(self, observation: np.ndarray) -> None:
-        assert self.env.scene is not None
-        self.observation = observation
-        self.frame += 1
-        self.path.append(self.env.scene.ee_pose.copy())
-        self.gripper_path.append(self.env.scene.gripper_open)
-
-    def _finish_episode(self, success: bool) -> None:
-        self.traces.append(
+    def finish_episode(self, slot: int, success: bool) -> None:
+        """Record the slot's trace; chain its next task or retire it."""
+        lane = self.lanes[slot]
+        assert lane is not None
+        frames = int(self.frame[slot])
+        self.traces[slot].append(
             EpisodeTrace(
                 success=success,
-                frames=self.frame,
-                executed_steps=self.executed,
-                ee_path=np.array(self.path),
-                reference_path=self.reference,
-                gripper_path=np.array(self.gripper_path, dtype=bool),
+                frames=frames,
+                executed_steps=self.executed[slot, : self.executed_count[slot]].tolist(),
+                ee_path=self.path[slot, : frames + 1].copy(),
+                reference_path=self.references[slot],
+                gripper_path=self.gripper_path[slot, : frames + 1].copy(),
             )
         )
-        if success and self.task_index + 1 < len(self.lane.tasks):
-            self.task_index += 1
-            self._start_episode(chained=True)
+        if success and self.task_index[slot] + 1 < len(lane.tasks):
+            self.task_index[slot] += 1
+            self._start_episode(slot, chained=True)
         else:
-            self.done = True
+            self.active[slot] = False
 
-    # -- tick protocol ---------------------------------------------------------
+    def system(self, slot: int) -> str:
+        """The system name of the lane in ``slot`` (Tbl. 1 naming)."""
+        lane = self.lanes[slot]
+        assert lane is not None
+        return "roboflamingo" if lane.variation is None else lane.variation.name
 
-    def tick_command(self) -> tuple[np.ndarray, bool]:  # pragma: no cover - abstract
-        """The (target pose, gripper) to execute this tick."""
-        raise NotImplementedError
+    def closed(self, slots: np.ndarray) -> np.ndarray:
+        """Per slot: no trajectory is in flight (a baseline frame is one)."""
+        return ~self.corki[slots] | (self.planned[slots] == 0) | ~self.active[slots]
 
-    def after_step(self, observation: np.ndarray, succeeded: bool) -> bool:
-        """Advance bookkeeping after the env stepped; ``succeeded`` is this
-        lane's entry in the tick's success mask.  True if a feedback frame
-        was captured this tick and still needs encoding."""
-        raise NotImplementedError  # pragma: no cover - abstract
+    # -- token state ------------------------------------------------------------
 
+    def push_ring_tokens(self, slots: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """Shift each baseline slot's newest-frame token into its ring and
+        return the ``(B, 12, token)`` windows, oldest token first."""
+        head = self.head[slots]
+        fresh = head < 0
+        if fresh.any():
+            self.ring[slots[fresh]] = tokens[fresh, None, :]
+        head = np.where(fresh, WINDOW_LENGTH - 1, (head + 1) % WINDOW_LENGTH)
+        self.ring[slots, head] = tokens
+        self.head[slots] = head
+        order = (head[:, None] + 1 + np.arange(WINDOW_LENGTH)) % WINDOW_LENGTH
+        return self.ring[slots[:, None], order]
 
-class _BaselineLaneState(_LaneState):
-    """Frame-by-frame execution (paper Fig. 1a): inference on every tick."""
+    def insert_tokens(
+        self, slots: np.ndarray, frames: np.ndarray, tokens: np.ndarray, inference: bool
+    ) -> None:
+        """Record Corki tokens encoded at ``frames``: VLM tokens of inference
+        frames (frame 0's also pads the episode's warm-up) or ViT tokens of
+        feedback frames."""
+        position = frames % WINDOW_LENGTH
+        self.tokens[slots, position] = tokens
+        self.token_frame[slots, position] = frames
+        if inference:
+            first = frames == 0
+            self.tokens[slots[first], _FIRST_ROW] = tokens[first]
 
-    def __init__(self, index, env, lane, policy: BaselinePolicy):
-        self.policy = policy
-        self.actuation = lane.actuation or TRACKING_30HZ
-        super().__init__(index, env, lane)
-
-    def _reset_episode_state(self) -> None:
-        # Rolling *token* window (RoboFlamingo's queue of 12): the VLM
-        # encodes frames independently, so only the newest frame needs
-        # encoding each tick; warm-up slots repeat the first frame's token.
-        # ``None`` marks a fresh episode whose first token is still pending.
-        self._tokens: np.ndarray | None = None
-        self._command: tuple[np.ndarray, bool] | None = None
-
-    def push_token(self, token: np.ndarray) -> None:
-        """Shift this tick's newest-frame token into the window."""
-        if self._tokens is None:
-            self._tokens = np.repeat(token[None], WINDOW_LENGTH, axis=0)
-        else:
-            self._tokens[:-1] = self._tokens[1:]
-            self._tokens[-1] = token
-
-    def token_window(self) -> np.ndarray:
-        assert self._tokens is not None
-        return self._tokens
-
-    def set_command(self, delta: np.ndarray, gripper_open: bool) -> None:
-        assert self.env.scene is not None
-        self._command = (self.env.scene.ee_pose + delta, gripper_open)
-
-    def tick_command(self) -> tuple[np.ndarray, bool]:
-        assert self._command is not None
-        return self._command
-
-    def after_step(self, observation: np.ndarray, succeeded: bool) -> bool:
-        self._record_frame(observation)
-        self.executed.append(1)
-        self._command = None
-        if succeeded or self.frame >= self.lane.max_frames:
-            self._finish_episode(succeeded)
-        return False
-
-
-class _CorkiLaneState(_LaneState):
-    """Trajectory-level execution (paper Fig. 1b) with per-lane re-planning."""
-
-    def __init__(self, index, env, lane, policy: CorkiPolicy):
-        self.policy = policy
-        self.actuation = lane.actuation or TRACKING_100HZ
-        variation = lane.variation
-        assert variation is not None
-        self.schedule = (
-            schedule_by_name(variation.feedback) if variation.closed_loop else NO_FEEDBACK
-        )
-        super().__init__(index, env, lane)
-
-    def _reset_episode_state(self) -> None:
-        self.window = _TokenWindow(self.policy)
-        self.trajectory = None
-        self.steps_planned = 0
-        self.step_in_traj = 0
-        self.feedback_step: int | None = None
-        self.pending_feedback: tuple[int, np.ndarray] | None = None
-
-    @property
-    def needs_plan(self) -> bool:
-        return not self.done and self.trajectory is None
-
-    def adopt_token(self, token: np.ndarray) -> None:
-        self.window.insert_inference_token(self.frame, token)
-
-    def assembled_window(self) -> np.ndarray:
-        return self.window.assemble(self.frame)
-
-    def adopt_plan(self, trajectory) -> None:
-        variation = self.lane.variation
-        assert variation is not None and self.env.scene is not None
-        steps = _decide_steps(trajectory, variation, self.env.scene.gripper_open)
-        self.steps_planned = min(steps, self.lane.max_frames - self.frame)
-        self.trajectory = trajectory
-        self.step_in_traj = 0
-        self.feedback_step = self.schedule.feedback_step(self.steps_planned, self.lane.rng)
-
-    def tick_command(self) -> tuple[np.ndarray, bool]:
-        assert self.trajectory is not None
-        step = self.step_in_traj + 1
-        target = self.trajectory.pose(step * self.trajectory.step_dt)
-        return target, self.trajectory.gripper_at_step(step)
-
-    def after_step(self, observation: np.ndarray, succeeded: bool) -> bool:
-        self.step_in_traj += 1
-        step = self.step_in_traj
-        self._record_frame(observation)
-        captured = step == self.feedback_step
-        if succeeded:
-            # Mid-trajectory success ends the episode immediately; a feedback
-            # frame captured on the same tick dies with the episode's window
-            # (the single runner encodes it and then discards the window).
-            self.executed.append(step)
-            self._finish_episode(True)
-            return False
-        if captured:
-            self.pending_feedback = (self.frame, observation)
-        if step == self.steps_planned:
-            self.executed.append(self.steps_planned)
-            self.trajectory = None
-            if self.frame >= self.lane.max_frames:
-                self._finish_episode(succeeded)
-                return False
-        return captured
+    def corki_windows(self, slots: np.ndarray) -> np.ndarray:
+        """The ``(B, 12, token)`` windows ending at each slot's current frame."""
+        frames = self.frame[slots, None] + _WINDOW_OFFSETS
+        position = frames % WINDOW_LENGTH
+        recorded = self.token_frame[slots[:, None], position] == frames
+        row = np.where(recorded, position, np.where(frames < 0, _FIRST_ROW, _MASK_ROW))
+        return self.tokens[slots[:, None], row]
 
 
 class FleetRunner:
@@ -296,28 +327,19 @@ class FleetRunner:
         self.baseline = baseline
         self.corki = corki
         #: optional :class:`repro.pipeline.estimate.FleetEstimator`; when
-        #: set, every tick hands it the lanes that advanced a camera frame
+        #: set, every tick hands it the slots that advanced a camera frame
         #: so per-lane latency/energy estimates accumulate alongside the
         #: rollout (no effect on episode numerics).
         self.estimator = estimator
 
-    def _make_state(self, index: int, env: ManipulationEnv, lane: FleetLane) -> _LaneState:
-        """Admit one lane into slot ``index``: reset its env, build its state."""
+    def _admit(self, store: LaneArrays, slot: int, lane: FleetLane) -> None:
+        """Admit one lane into slot ``slot``: reset its env and its row."""
         if lane.variation is None:
             if self.baseline is None:
                 raise ValueError("fleet has baseline lanes but no baseline policy")
-            return _BaselineLaneState(index, env, lane, self.baseline)
-        if self.corki is None:
+        elif self.corki is None:
             raise ValueError("fleet has Corki lanes but no Corki policy")
-        return _CorkiLaneState(index, env, lane, self.corki)
-
-    def _build_states(
-        self, fleet: BatchedManipulationEnv, lanes: list[FleetLane]
-    ) -> list[_LaneState]:
-        return [
-            self._make_state(index, fleet.envs[index], lane)
-            for index, lane in enumerate(lanes)
-        ]
+        store.admit(slot, lane)
 
     def run(
         self,
@@ -340,14 +362,12 @@ class FleetRunner:
             raise ValueError(
                 f"{len(lanes)} lanes need {len(lanes)} environments, got {len(fleet)}"
             )
-        states = self._build_states(fleet, lanes)
-        active = [state for state in states if not state.done]
-        while active:
-            self._plan_corki_lanes(active, fleet.frame_dt)
-            self._infer_baseline_lanes(active)
-            self._step_lanes(active, fleet)
-            active = [state for state in states if not state.done]
-        return [state.traces for state in states]
+        store = LaneArrays(fleet, self.baseline, self.corki)
+        for slot, lane in enumerate(lanes):
+            self._admit(store, slot, lane)
+        while store.active.any():
+            self._tick(store)
+        return store.traces
 
     def run_continuous(
         self,
@@ -365,7 +385,8 @@ class FleetRunner:
         its job here *retires immediately*: its traces are handed to
         ``on_complete(lane, traces)`` and its slot is refilled from
         ``source`` at the next inference boundary, so the batched forward
-        passes stay saturated while requests keep arriving.  This is the
+        passes stay saturated while requests keep arriving.  Admission is a
+        row reset of the slot's :class:`LaneArrays` entries.  This is the
         admission discipline a request-serving layer needs
         (:mod:`repro.serving`), and the reason it is safe is the module's
         determinism contract: lane randomness is lane-private and numerics
@@ -390,100 +411,111 @@ class FleetRunner:
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         stream: Iterator[tuple[ManipulationEnv, FleetLane]] = iter(source)
-        admitted = []
-        for env, lane in stream:
-            admitted.append((env, lane))
-            if len(admitted) == slots:
-                break
+        admitted = list(islice(stream, slots))
         if not admitted:
             return 0
         fleet = BatchedManipulationEnv([env for env, _ in admitted])
-        states: list[_LaneState | None] = [
-            self._make_state(index, fleet.envs[index], lane)
-            for index, (_, lane) in enumerate(admitted)
-        ]
+        store = LaneArrays(fleet, self.baseline, self.corki)
+        for slot, (_, lane) in enumerate(admitted):
+            self._admit(store, slot, lane)
         served = 0
 
         def refill_slot(slot: int) -> None:
-            states[slot] = None
+            store.lanes[slot] = None
             refill = next(stream, None)
             if refill is not None:
                 env, lane = refill
                 fleet.adopt_lane(slot, env)
-                states[slot] = self._make_state(slot, env, lane)
+                self._admit(store, slot, lane)
 
-        live = [state for state in states if state is not None and not state.done]
-        while live:
+        while store.active.any():
             if should_cancel is not None:
-                for slot, state in enumerate(states):
-                    if state is None or state.done or not should_cancel(state.lane):
+                for slot in np.flatnonzero(store.active).tolist():
+                    lane = store.lanes[slot]
+                    assert lane is not None
+                    if not should_cancel(lane):
                         continue
                     if on_cancel is not None:
-                        on_cancel(state.lane, state.traces)
+                        on_cancel(lane, store.traces[slot])
+                    store.active[slot] = False
                     refill_slot(slot)
-                live = [state for state in states if state is not None and not state.done]
-                if not live:
+                if not store.active.any():
                     break
-            self._plan_corki_lanes(live, fleet.frame_dt)
-            self._infer_baseline_lanes(live)
-            self._step_lanes(live, fleet)
-            for slot, state in enumerate(states):
-                if state is None or not state.done:
+            self._tick(store)
+            for slot, lane in enumerate(store.lanes):
+                if lane is None or store.active[slot]:
                     continue
-                on_complete(state.lane, state.traces)
+                on_complete(lane, store.traces[slot])
                 served += 1
                 refill_slot(slot)
-            live = [state for state in states if state is not None and not state.done]
         return served
 
-    def _plan_corki_lanes(self, active: list[_LaneState], frame_dt: float) -> None:
+    def _tick(self, store: LaneArrays) -> None:
+        self._plan_corki_lanes(store)
+        self._infer_baseline_lanes(store)
+        self._step_lanes(store)
+
+    def _plan_corki_lanes(self, store: LaneArrays) -> None:
         """One batched encode + trajectory prediction for every lane at a
-        planning boundary (episode start or executed-trajectory end)."""
-        planners = [
-            state
-            for state in active
-            if isinstance(state, _CorkiLaneState) and state.needs_plan
-        ]
-        if not planners:
+        planning boundary (episode start or executed-trajectory end), and
+        one Algorithm 1 call for the adaptive ones among them."""
+        planners = np.flatnonzero(store.active & store.corki & (store.planned == 0))
+        if not planners.size:
             return
         assert self.corki is not None
-        observations = np.stack([state.observation for state in planners])
-        instructions = np.array([state.task.instruction_id for state in planners])
-        tokens = self.corki.encode_frame_token_batch(observations, instructions)
-        for state, token in zip(planners, tokens):
-            state.adopt_token(token)
-        windows = np.stack([state.assembled_window() for state in planners])
-        origins = np.stack([state.env.scene.ee_pose for state in planners])
-        trajectories = self.corki.predict_trajectory_batch(windows, origins, frame_dt)
-        for state, trajectory in zip(planners, trajectories):
-            state.adopt_plan(trajectory)
+        tokens = self.corki.encode_frame_token_batch(
+            store.observation[planners], store.instruction[planners]
+        )
+        store.insert_tokens(planners, store.frame[planners], tokens, inference=True)
+        origins, gripper_now = store.fleet.arm_states(planners)
+        plans = self.corki.predict_trajectory_batch(
+            store.corki_windows(planners), origins, store.fleet.frame_dt
+        )
+        store.origin[planners] = plans.origins
+        store.coefficients[planners] = plans.coefficients
+        store.duration[planners] = plans.duration
+        store.gripper_plan[planners] = plans.gripper_open
+        steps = store.fixed_steps[planners]
+        adaptive = np.flatnonzero(store.adaptive[planners])
+        if adaptive.size:
+            steps[adaptive] = _adaptive_steps(plans, adaptive, gripper_now[adaptive])
+        planned = np.minimum(steps, store.max_frames[planners] - store.frame[planners])
+        store.planned[planners] = planned
+        store.cursor[planners] = 0
+        for slot, count in zip(planners.tolist(), planned.tolist()):
+            lane = store.lanes[slot]
+            assert lane is not None
+            step = store.schedules[slot].feedback_step(count, lane.rng)
+            store.feedback_step[slot] = 0 if step is None else step
 
-    def _infer_baseline_lanes(self, active: list[_LaneState]) -> None:
+    def _infer_baseline_lanes(self, store: LaneArrays) -> None:
         """One batched per-frame action prediction for every baseline lane.
 
         Each lane's newest frame (the only window slot that changed since
         the last tick) is VLM-encoded in one batch and shifted into the
-        lane's token ring; the LSTM and heads then run on the stacked rings.
-        Re-encoding a frame would reproduce its token bit for bit, so this
-        is a pure 12x cut of the per-tick VLM work.
+        lane's token ring; the LSTM and heads then run on the rings, read
+        back in window order.  Re-encoding a frame would reproduce its
+        token bit for bit, so this is a pure 12x cut of the per-tick VLM
+        work.
         """
-        lanes = [state for state in active if isinstance(state, _BaselineLaneState)]
-        if not lanes:
+        slots = np.flatnonzero(store.active & ~store.corki)
+        if not slots.size:
             return
         assert self.baseline is not None
-        observations = np.stack([state.observation for state in lanes])
-        instructions = np.array([state.task.instruction_id for state in lanes])
-        tokens = self.baseline.encode_frame_token_batch(observations, instructions)
-        for state, token in zip(lanes, tokens):
-            state.push_token(token)
-        windows = np.stack([state.token_window() for state in lanes])
-        deltas, grippers = self.baseline.predict_token_batch(windows)
-        for state, delta, gripper in zip(lanes, deltas, grippers):
-            state.set_command(delta, bool(gripper))
+        tokens = self.baseline.encode_frame_token_batch(
+            store.observation[slots], store.instruction[slots]
+        )
+        deltas, grippers = self.baseline.predict_token_batch(
+            store.push_ring_tokens(slots, tokens)
+        )
+        poses, _ = store.fleet.arm_states(slots)
+        store.command[slots] = poses + deltas
+        store.command_open[slots] = grippers
 
-    def _step_lanes(self, active: list[_LaneState], fleet: BatchedManipulationEnv) -> None:
-        """Advance every active lane one camera frame, then batch-encode the
-        closed-loop feedback frames captured this tick.
+    def _step_lanes(self, store: LaneArrays) -> None:
+        """Advance every active lane one camera frame, settle the tick's
+        bookkeeping, then batch-encode the closed-loop feedback frames
+        captured this tick.
 
         Corki lanes' targets are one batched cubic evaluation
         (:func:`repro.core.trajectory.pose_batch`) at each lane's own
@@ -491,55 +523,79 @@ class FleetRunner:
         tick's batched inference.  Success is evaluated as one per-tick mask
         before any lane advances its episode bookkeeping.
         """
-        count = len(active)
-        targets = np.empty((count, 6))
-        grippers = np.zeros(count, dtype=bool)
-        corki_rows: list[int] = []
-        for k, state in enumerate(active):
-            if isinstance(state, _CorkiLaneState):
-                corki_rows.append(k)
-            else:
-                target, gripper = state.tick_command()
-                targets[k] = target
-                grippers[k] = gripper
-        if corki_rows:
-            rows = np.array(corki_rows)
-            states = [active[k] for k in corki_rows]
-            trajectories = [state.trajectory for state in states]
-            steps = [state.step_in_traj + 1 for state in states]
-            times = np.array(
-                [step * trajectory.step_dt for step, trajectory in zip(steps, trajectories)]
+        fleet = store.fleet
+        slots = np.flatnonzero(store.active)
+        moving = np.flatnonzero(store.active & store.corki)
+        if moving.size:
+            step = store.cursor[moving] + 1
+            durations = store.duration[moving]
+            horizon = store.gripper_plan.shape[1]
+            store.command[moving] = pose_batch(
+                store.origin[moving],
+                store.coefficients[moving],
+                durations,
+                step * (durations / horizon),
             )
-            targets[rows] = pose_batch(trajectories, times)
-            grippers[rows] = [
-                trajectory.gripper_at_step(step)
-                for trajectory, step in zip(trajectories, steps)
+            store.command_open[moving] = store.gripper_plan[
+                moving, np.minimum(step, horizon) - 1
             ]
-        indices = [state.index for state in active]
         observations = fleet.step_many(
-            targets,
-            grippers,
-            [state.actuation for state in active],
-            indices,
+            store.command[slots],
+            store.command_open[slots],
+            [store.actuations[slot] for slot in slots.tolist()],
+            slots,
         )
-        succeeded = fleet.succeeded_mask(indices)
-        feedback = [
-            state
-            for state, observation, success in zip(active, observations, succeeded)
-            if state.after_step(observation, bool(success))
-        ]
+        succeeded = fleet.succeeded_mask(slots)
+
+        frame = store.frame[slots] + 1
+        store.frame[slots] = frame
+        store.observation[slots] = observations
+        store.path[slots, frame], store.gripper_path[slots, frame] = fleet.arm_states(slots)
+        corki = store.corki[slots]
+        step = store.cursor[slots] + corki
+        store.cursor[slots] = step
+        # A Corki trajectory ends when its planned steps ran out or a
+        # mid-trajectory success cut it short; either way the executed
+        # length is logged, as every baseline frame logs 1.
+        ended = corki & (succeeded | (step == store.planned[slots]))
+        log = ~corki | ended
+        logged = slots[log]
+        store.executed[logged, store.executed_count[logged]] = np.where(corki, step, 1)[log]
+        store.executed_count[logged] += 1
+        store.planned[slots[ended]] = 0
+        # A feedback frame captured on a success tick dies with the episode.
+        captured = corki & ~succeeded & (step == store.feedback_step[slots])
+        finished = succeeded | ((frame >= store.max_frames[slots]) & (~corki | ended))
+        for slot, success in zip(slots[finished].tolist(), succeeded[finished].tolist()):
+            store.finish_episode(slot, success)
         if self.estimator is not None:
-            self.estimator.observe(active)
-        if not feedback:
+            self.estimator.observe(store, slots)
+        if not captured.any():
             return
         assert self.corki is not None
-        captured = [state.pending_feedback for state in feedback]
-        tokens = self.corki.encode_feedback_token_batch(
-            np.stack([observation for _, observation in captured])
-        )
-        for state, (frame, _), token in zip(feedback, captured, tokens):
-            state.window.insert_feedback_token(frame, token)
-            state.pending_feedback = None
+        tokens = self.corki.encode_feedback_token_batch(observations[captured])
+        store.insert_tokens(slots[captured], frame[captured], tokens, inference=False)
+
+
+def _adaptive_steps(
+    plans: TrajectoryBatch, lanes: np.ndarray, gripper_now: np.ndarray
+) -> np.ndarray:
+    """Algorithm 1's execution lengths for rows ``lanes`` of ``plans``.
+
+    The waypoints are one stacked product, each lane's the
+    ``CubicTrajectory.waypoints`` product (same operand layout, so the same
+    BLAS call per lane); the gripper-change flags are one comparison.
+    """
+    horizon = plans.gripper_open.shape[1]
+    basis = polynomial_design_matrix(np.arange(1, horizon + 1) / horizon)
+    origins = plans.origins[lanes]
+    waypoints = origins[:, None, :] + basis @ plans.coefficients[lanes].transpose(0, 2, 1)
+    return adaptive_termination_step_lanes(
+        origins[:, :3],
+        waypoints[:, :, :3],
+        gripper_change_flags(plans.gripper_open[lanes], gripper_now),
+        ADAPTIVE_DISTANCE_THRESHOLD,
+    )
 
 
 def run_baseline_fleet(

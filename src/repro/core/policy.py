@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import PREDICTION_HORIZON
-from repro.core.trajectory import CubicTrajectory, polynomial_design_matrix
+from repro.core.trajectory import CubicTrajectory, TrajectoryBatch, polynomial_design_matrix
 from repro.nn.functional import mix_slots
 from repro.nn.layers import LSTM, MLP, Module
 from repro.nn.tensor import Tensor, no_grad
@@ -301,14 +301,14 @@ class CorkiPolicy(_PolicyBase):
         token_windows: np.ndarray,
         origin_poses: np.ndarray,
         step_dt: float,
-    ) -> list[CubicTrajectory]:
+    ) -> TrajectoryBatch:
         """Trajectory inference for every fleet lane at a planning boundary.
 
         ``token_windows`` is ``(batch, window, token_dim)`` with mask and
         feedback tokens already substituted per lane; ``origin_poses`` the
         ``(batch, 6)`` end-effector poses at inference time.  One batched
-        LSTM sweep serves all lanes; returns one physical-unit
-        :class:`CubicTrajectory` per lane.
+        LSTM sweep serves all lanes; returns the physical-unit cubics as one
+        :class:`~repro.core.trajectory.TrajectoryBatch` of arrays.
         """
         def forward(windows):
             hidden = self.lstm.infer(windows)
@@ -317,22 +317,17 @@ class CorkiPolicy(_PolicyBase):
                 self.gripper_head.infer(hidden),
             )
 
-        origins = np.asarray(origin_poses, dtype=float)
         coefficients, gripper_logits = _batched_forward(
             (np.asarray(token_windows, dtype=float),), forward
         )
         batch = coefficients.shape[0]
-        physical = coefficients.reshape(batch, 6, 4) * self.normalizer.scale[None, :, None]
-        duration = self.horizon * step_dt
-        return [
-            CubicTrajectory(
-                origin=origins[i].copy(),
-                coefficients=physical[i],
-                duration=duration,
-                gripper_open=gripper_logits[i] > 0.0,
-            )
-            for i in range(batch)
-        ]
+        return TrajectoryBatch(
+            origins=np.asarray(origin_poses, dtype=float),
+            coefficients=coefficients.reshape(batch, 6, 4)
+            * self.normalizer.scale[None, :, None],
+            duration=self.horizon * step_dt,
+            gripper_open=gripper_logits > 0.0,
+        )
 
     def predict_trajectory(
         self,
@@ -351,4 +346,4 @@ class CorkiPolicy(_PolicyBase):
             np.asarray(token_window, dtype=float)[None],
             np.asarray(origin_pose, dtype=float)[None],
             step_dt,
-        )[0]
+        ).trajectory(0)

@@ -29,12 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import (
-    ADAPTIVE_DISTANCE_THRESHOLD,
-    CorkiVariation,
-)
-from repro.core.policy import WINDOW_LENGTH, BaselinePolicy, CorkiPolicy
-from repro.core.waypoints import adaptive_termination_step, gripper_change_flags
+from repro.core.config import CorkiVariation
+from repro.core.policy import BaselinePolicy, CorkiPolicy
 from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, ActuationModel, ManipulationEnv
 from repro.sim.expert import render_keyframes
 from repro.sim.tasks import Task
@@ -92,52 +88,6 @@ def run_baseline_episode(
     return FleetRunner(baseline=policy).run([env], [lane])[0][0]
 
 
-class _TokenWindow:
-    """Deployment-side token bookkeeping for Corki.
-
-    Tracks which frames were VLM-encoded (inference frames) or ViT-encoded
-    (feedback frames); every other slot yields the learned mask embedding,
-    mirroring the training-time pattern of
-    :func:`repro.core.training.deployment_slot_pattern`.
-    """
-
-    def __init__(self, policy: CorkiPolicy):
-        self._policy = policy
-        self._tokens: dict[int, np.ndarray] = {}
-        self._first_real: np.ndarray | None = None
-
-    def add_inference_frame(self, frame: int, observation: np.ndarray, instruction: int) -> None:
-        self.insert_inference_token(
-            frame, self._policy.encode_frame_token(observation, instruction)
-        )
-
-    def add_feedback_frame(self, frame: int, observation: np.ndarray) -> None:
-        self.insert_feedback_token(frame, self._policy.encode_feedback_token(observation))
-
-    def insert_inference_token(self, frame: int, token: np.ndarray) -> None:
-        """Record an already-encoded VLM token (the fleet runner encodes all
-        planning lanes in one batch before inserting)."""
-        if self._first_real is None:
-            self._first_real = token
-        self._tokens[frame] = token
-
-    def insert_feedback_token(self, frame: int, token: np.ndarray) -> None:
-        """Record an already-encoded ViT feedback token."""
-        self._tokens[frame] = token
-
-    def assemble(self, current_frame: int) -> np.ndarray:
-        mask = self._policy.mask_token()
-        rows = []
-        for frame in range(current_frame - WINDOW_LENGTH + 1, current_frame + 1):
-            if frame in self._tokens:
-                rows.append(self._tokens[frame])
-            elif frame < 0 and self._first_real is not None:
-                rows.append(self._first_real)  # warm-up padding, as in training
-            else:
-                rows.append(mask)
-        return np.array(rows)
-
-
 def run_corki_episode(
     env: ManipulationEnv,
     policy: CorkiPolicy,
@@ -164,20 +114,6 @@ def run_corki_episode(
         chained_start=chained,
     )
     return FleetRunner(corki=policy).run([env], [lane])[0][0]
-
-
-def _decide_steps(trajectory, variation: CorkiVariation, gripper_open_now: bool) -> int:
-    """Execution length: fixed for Corki-T, Algorithm 1 for Corki-ADAP."""
-    if not variation.adaptive:
-        return int(variation.execute_steps)
-    waypoints = trajectory.waypoints()
-    flags = gripper_change_flags(trajectory.gripper_open, gripper_open_now)
-    return adaptive_termination_step(
-        trajectory.origin[:3],
-        waypoints[:, :3],
-        flags,
-        ADAPTIVE_DISTANCE_THRESHOLD,
-    )
 
 
 def run_job(

@@ -12,11 +12,17 @@ supervising raw coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["CubicTrajectory", "fit_cubic", "polynomial_design_matrix", "pose_batch"]
+__all__ = [
+    "CubicTrajectory",
+    "TrajectoryBatch",
+    "fit_cubic",
+    "polynomial_design_matrix",
+    "pose_batch",
+]
 
 
 def polynomial_design_matrix(tau: np.ndarray) -> np.ndarray:
@@ -94,25 +100,52 @@ class CubicTrajectory:
         return bool(self.gripper_open[min(step, self.steps) - 1])
 
 
-def pose_batch(
-    trajectories: Sequence[CubicTrajectory], times: np.ndarray
-) -> np.ndarray:
-    """Evaluate ``trajectories[k].pose(times[k])`` for all k in one call.
+class TrajectoryBatch(NamedTuple):
+    """``L`` cubic trajectories of one duration, as arrays (lane axis first).
 
-    This is the fleet runner's per-tick command evaluator: every Corki lane
-    mid-trajectory needs its cubic sampled at its own execution time, and the
-    normalised-time basis plus the stacked ``(N, 6, 4) @ (N, 4, 1)`` matmul
-    replace N Python-level :meth:`CubicTrajectory.pose` calls.  The stacked
-    matmul reduces over the same four coefficients in the same order as the
-    scalar matvec, so each row is bitwise the scalar result
-    (``tests/test_trajectory.py`` locks this in).
+    The batched form of :class:`CubicTrajectory` that
+    :meth:`repro.core.policy.CorkiPolicy.predict_trajectory_batch` returns:
+    ``origins`` ``(L, 6)``, physical ``coefficients`` ``(L, 6, 4)`` and the
+    per-step ``gripper_open`` schedules ``(L, steps)``.  The fleet runner
+    stores the arrays per slot; :meth:`trajectory` builds one lane's object.
+    """
+
+    origins: np.ndarray
+    coefficients: np.ndarray
+    duration: float
+    gripper_open: np.ndarray
+
+    def trajectory(self, lane: int) -> CubicTrajectory:
+        """Lane ``lane`` as a :class:`CubicTrajectory` (origin copied)."""
+        return CubicTrajectory(
+            origin=self.origins[lane].copy(),
+            coefficients=self.coefficients[lane],
+            duration=self.duration,
+            gripper_open=self.gripper_open[lane],
+        )
+
+
+def pose_batch(
+    origins: np.ndarray,
+    coefficients: np.ndarray,
+    durations: float | np.ndarray,
+    times: np.ndarray,
+) -> np.ndarray:
+    """Evaluate ``N`` cubics, each at its own time, in one call.
+
+    Row ``k`` is ``CubicTrajectory(origins[k], coefficients[k],
+    durations[k], ...).pose(times[k])``; ``durations`` may be one shared
+    duration.  This is the fleet runner's per-tick command evaluator: every
+    Corki lane mid-trajectory needs its cubic sampled at its own execution
+    time, and the normalised-time basis plus the stacked ``(N, 6, 4) @ (N,
+    4, 1)`` matmul replace N Python-level :meth:`CubicTrajectory.pose`
+    calls.  The stacked matmul reduces over the same four coefficients in
+    the same order as the scalar matvec, so each row is bitwise the scalar
+    result (``tests/test_trajectory.py`` locks this in).
     """
     times = np.asarray(times, dtype=float)
-    durations = np.array([trajectory.duration for trajectory in trajectories])
     tau = np.clip(times / durations, 0.0, 1.0)
     basis = polynomial_design_matrix(tau)  # (N, 4)
-    coefficients = np.stack([trajectory.coefficients for trajectory in trajectories])
-    origins = np.stack([trajectory.origin for trajectory in trajectories])
     return origins + (coefficients @ basis[:, :, None])[:, :, 0]
 
 

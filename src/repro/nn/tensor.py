@@ -63,15 +63,18 @@ def sigmoid_values(z: np.ndarray) -> np.ndarray:
 
     The exponent ``-|z|`` is always the non-positive side of ``z`` (negation
     is exact, so this matches a two-sided branch bit for bit) and ``exp``
-    never overflows; each branch then evaluates the same closed form as the
-    historical masked implementation over a shared denominator, so results
-    are bitwise unchanged.  Shared by :meth:`Tensor.sigmoid` and the
-    raw-array deployment path in :mod:`repro.nn.layers`.
+    never overflows.  The numerator is ``1`` where ``z >= 0`` (``-0.0``
+    included: there ``exp_z <= 1``, so the maximum is exactly ``1.0``) and
+    ``exp_z`` elsewhere (``z < 0``, and NaN, whose comparison is false and
+    whose ``exp_z`` the maximum propagates).  Every element is therefore the
+    one IEEE division the historical masked form ``np.where(z >= 0, 1 / d,
+    exp_z / d)`` selected, without computing both branches.  Shared by
+    :meth:`Tensor.sigmoid` and the raw-array deployment path in
+    :mod:`repro.nn.layers`.
     """
     z = np.asarray(z)
     exp_z = np.exp(-np.abs(z))
-    denominator = 1.0 + exp_z
-    return np.where(z >= 0, 1.0 / denominator, exp_z / denominator)
+    return np.maximum(exp_z, z >= 0) / (1.0 + exp_z)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

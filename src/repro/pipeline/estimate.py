@@ -185,21 +185,19 @@ class FleetEstimator:
         self.seed = seed
         self._logs: dict[int, _LaneLog] = {}
 
-    @staticmethod
-    def _system_of(state) -> str:
-        variation = state.lane.variation
-        return "roboflamingo" if variation is None else variation.name
+    def observe(self, store, slots) -> None:
+        """Record one executed camera frame for every slot in ``slots``.
 
-    def observe(self, states: list) -> None:
-        """Record one executed camera frame for every lane in ``states``."""
-        for state in states:
-            log = self._logs.get(state.index)
+        ``store`` is the runner's :class:`repro.core.fleet.LaneArrays`: a
+        slot's system is read the first time it ticks, and its
+        ``closed(slots)`` mask marks the slots whose executed trajectory
+        ended on this frame.
+        """
+        for slot, closed in zip(slots.tolist(), store.closed(slots).tolist()):
+            log = self._logs.get(slot)
             if log is None:
-                log = self._logs[state.index] = _LaneLog(self._system_of(state))
-            if state.lane.variation is None:
-                log.advance(closed=True)
-            else:
-                log.advance(closed=state.trajectory is None or state.done)
+                log = self._logs[slot] = _LaneLog(store.system(slot))
+            log.advance(closed=closed)
 
     def estimates(self) -> dict[int, PipelineEstimate]:
         """Per-lane-index estimates, all lanes costed in one batched call.

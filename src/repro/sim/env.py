@@ -562,6 +562,11 @@ class BatchedManipulationEnv:
         self.envs[lane] = env
         env._rehome(self._arrays, lane)
 
+    def arm_states(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The selected lanes' end-effector poses ``(K, 6)`` and gripper
+        flags ``(K,)``, gathered from the shared store (copies)."""
+        return self._arrays.ee_pose[indices], self._arrays.gripper_open[indices]
+
     def succeeded_mask(self, indices: Sequence[int] | None = None) -> np.ndarray:
         """Boolean success flags for the selected lanes' current tasks."""
         return np.array([self.envs[i].succeeded for i in self._select(indices)], dtype=bool)

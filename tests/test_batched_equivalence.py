@@ -9,6 +9,8 @@ against the scalar function through :func:`assert_scalar_batched_equal`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accelerator import (
     ALL_UNITS,
@@ -27,6 +29,7 @@ from repro.analysis.calibration import (
     track_trajectories_lanes,
     track_trajectory,
 )
+from repro.core.waypoints import adaptive_termination_step, adaptive_termination_step_lanes
 from repro.pipeline import (
     PipelineLane,
     SystemStages,
@@ -383,3 +386,122 @@ class TestFigureLanes:
         for name, trace in scalars.items():
             assert (batched[name].latencies_ms() == trace.latencies_ms()).all()
             assert batched[name].mean_energy_j == trace.mean_energy_j
+
+
+# -- Algorithm 1 (Corki-ADAP's early termination) ------------------------------
+
+PATH_KINDS = ("walk", "lattice", "coincident", "collinear", "tiny")
+FLAG_KINDS = ("none", "random", "single", "all")
+THRESHOLDS = (0.0, 1e-13, 0.005, 0.02, 0.1)
+
+
+def _path(kind, rng, steps):
+    """A start point and ``steps`` waypoints of one kind of path.
+
+    ``lattice`` puts every point on a 5 mm grid (exact ties, repeats);
+    ``coincident`` draws each point from the start and two others (zero
+    chords, zero-length interior vectors); ``collinear`` moves back and
+    forth on one line through the start; ``tiny`` stays within the
+    kernel's 1e-12 degeneracy thresholds of the start.
+    """
+    if kind == "walk":
+        start = rng.normal(0.0, 0.01, 3)
+        return start, start + np.cumsum(rng.normal(0.0, 0.005, (steps, 3)), axis=0)
+    if kind == "lattice":
+        start = rng.integers(-2, 3, 3) * 0.005
+        return start, rng.integers(-4, 5, (steps, 3)) * 0.005
+    if kind == "coincident":
+        start = rng.normal(0.0, 0.01, 3)
+        choices = np.stack([start, start + rng.normal(0.0, 0.01, 3), rng.normal(0.0, 0.01, 3)])
+        return start, choices[rng.integers(0, 3, steps)]
+    if kind == "collinear":
+        start = rng.normal(0.0, 0.01, 3)
+        direction = rng.normal(0.0, 1.0, 3)
+        return start, start + rng.integers(-3, 4, (steps, 1)) * 0.01 * direction
+    start = rng.normal(0.0, 0.01, 3)
+    scale = 10.0 ** rng.uniform(-13.0, -11.0, (steps, 1))
+    return start, start + rng.normal(0.0, 1.0, (steps, 3)) * scale
+
+
+def _flags(kind, rng, steps, index):
+    flags = np.zeros(steps, dtype=bool)
+    if kind == "random":
+        flags = rng.random(steps) < 0.2
+    elif kind == "single" and steps:
+        flags[index % steps] = True
+    elif kind == "all":
+        flags[:] = True
+    return flags
+
+
+@st.composite
+def algorithm1_lanes(draw):
+    """``(starts, waypoints, flags, threshold)`` for L in {1, 2, 7, 32}."""
+    lanes = draw(st.sampled_from(FLEET_SIZES))
+    steps = draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = np.zeros((lanes, 3))
+    waypoints = np.zeros((lanes, steps, 3))
+    flags = np.zeros((lanes, steps), dtype=bool)
+    for lane in range(lanes):
+        starts[lane], waypoints[lane] = _path(draw(st.sampled_from(PATH_KINDS)), rng, steps)
+        flags[lane] = _flags(
+            draw(st.sampled_from(FLAG_KINDS)), rng, steps, draw(st.integers(0, 9))
+        )
+    return starts, waypoints, flags, draw(st.sampled_from(THRESHOLDS))
+
+
+def assert_algorithm1_lanes_match(starts, waypoints, flags, threshold):
+    """Lane ``i`` of the kernel equals the scalar loop, as an exact integer."""
+    batched = adaptive_termination_step_lanes(starts, waypoints, flags, threshold)
+    scalars = [
+        adaptive_termination_step(starts[i], waypoints[i], flags[i], threshold)
+        for i in range(len(starts))
+    ]
+    assert batched.dtype.kind == "i"
+    assert batched.tolist() == scalars
+
+
+class TestAlgorithm1Lanes:
+    @settings(max_examples=100)
+    @given(algorithm1_lanes())
+    def test_matches_scalar_loop(self, case):
+        assert_algorithm1_lanes_match(*case)
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_gripper_flag_at_every_index(self, kind):
+        rng = np.random.default_rng(3)
+        paths = [_path(kind, rng, 9) for _ in range(10)]
+        starts = np.stack([start for start, _ in paths])
+        waypoints = np.stack([points for _, points in paths])
+        flags = np.zeros((10, 9), dtype=bool)
+        for lane in range(9):
+            flags[lane, lane] = True
+        for threshold in THRESHOLDS:
+            assert_algorithm1_lanes_match(starts, waypoints, flags, threshold)
+
+    def test_rejects_misaligned_flags(self):
+        with pytest.raises(ValueError):
+            adaptive_termination_step_lanes(np.zeros((2, 3)), np.zeros((2, 9, 3)),
+                                            np.zeros((2, 8), dtype=bool), 0.02)
+
+    def test_every_plan_of_an_adap_evaluation(self, tiny_policies, monkeypatch):
+        """Each ADAP plan of a 32-lane ``evaluate_system`` run, recorded at
+        the fleet's one kernel call per tick, decides as the scalar loop."""
+        import repro.core.fleet as fleet
+        from repro.analysis.evaluation import TrainedPolicies, evaluate_system
+        from repro.sim import SEEN_LAYOUT
+
+        calls = []
+
+        def recorded(starts, waypoints, flags, threshold):
+            calls.append((starts.copy(), waypoints.copy(), flags.copy(), threshold))
+            return adaptive_termination_step_lanes(starts, waypoints, flags, threshold)
+
+        monkeypatch.setattr(fleet, "adaptive_termination_step_lanes", recorded)
+        baseline, corki, _ = tiny_policies
+        policies = TrainedPolicies(baseline, corki, demos_per_task=3, epochs=1)
+        evaluate_system(policies, "corki-adap", SEEN_LAYOUT, 32, seed=5, fleet_size=32)
+        assert sum(len(starts) for starts, *_ in calls) > 100
+        for case in calls:
+            assert_algorithm1_lanes_match(*case)

@@ -10,21 +10,34 @@ that guarantee and these tests lock both in:
 * the batched policy entry points pad singleton batches
   (``repro.core.policy._pad_singleton``), so BLAS takes the same GEMM
   kernels whether one lane or thirty-two need inference on a tick.
+
+The single-episode runners are fleets of one of the same runner, so those
+comparisons cannot see a bookkeeping change that alters both sides.
+:class:`TestFrozenFleetReference` therefore holds the runner to a frozen
+copy of its per-lane-object form (``tests/frozen_fleet.py``), byte for byte.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from frozen_fleet import FrozenEstimator, FrozenFleetRunner, _decide_steps
 
+from repro.analysis.evaluation import build_lane
+from repro.core.fleet import _adaptive_steps
 from repro.core import (
     VARIATIONS,
     FleetLane,
     FleetRunner,
+    TrajectoryBatch,
     run_baseline_episode,
     run_baseline_fleet,
     run_corki_episode,
     run_corki_fleet,
     run_job,
 )
+from repro.pipeline import FleetEstimator
+from repro.serving.cache import encode_traces
 from repro.sim import (
     BLOCK_NAMES,
     SEEN_LAYOUT,
@@ -36,6 +49,7 @@ from repro.sim import (
     sample_scene,
 )
 from repro.sim.env import PERFECT_ACTUATION, TRACKING_100HZ, TRACKING_30HZ
+from repro.sim.tasks import sample_job
 
 FLEET_N = 6
 MAX_FRAMES = 25
@@ -509,3 +523,160 @@ class TestLaneValidation:
         )
         with pytest.raises(ValueError):
             FleetRunner(baseline=baseline).run([env], [lane])
+
+
+SYSTEMS = ("roboflamingo", "corki-1", "corki-3", "corki-5", "corki-7", "corki-9", "corki-adap")
+REFERENCE_LANES = 32
+REFERENCE_FRAMES = 40
+REFERENCE_SEED = 7
+
+
+def _moved(initial, current) -> bool:
+    """Success once the arm is 3 cm from where the episode started: it ends
+    episodes after a few frames, often mid-trajectory, so jobs chain."""
+    return bool(np.linalg.norm(current.ee_pose[:3] - initial.ee_pose[:3]) > 0.03)
+
+
+def _reference_jobs():
+    """Chained 5-task jobs; about half the tasks succeed on ``_moved``."""
+    rng = np.random.default_rng(REFERENCE_SEED)
+    jobs = [sample_job(rng, 5) for _ in range(REFERENCE_LANES)]
+    return [
+        [replace(task, success=_moved) if rng.random() < 0.5 else task for task in job]
+        for job in jobs
+    ]
+
+
+def _lane_systems(system):
+    if system == "mixed":
+        return [SYSTEMS[lane % len(SYSTEMS)] for lane in range(REFERENCE_LANES)]
+    return [system] * REFERENCE_LANES
+
+
+def _admissions(system):
+    """Fresh ``(env, lane)`` pairs, keyed like ``evaluate_system``'s lanes."""
+    jobs = _reference_jobs()
+    return [
+        build_lane(name, SEEN_LAYOUT, REFERENCE_SEED, lane, jobs[lane], REFERENCE_FRAMES)
+        for lane, name in enumerate(_lane_systems(system))
+    ]
+
+
+def _roll(runner_cls, estimator_cls, policies, system, fleet_size):
+    """Every lane's encoded traces and per-fleet estimator output."""
+    baseline, corki, _ = policies
+    admissions = _admissions(system)
+    traces, estimates = [], []
+    for start in range(0, len(admissions), fleet_size):
+        chunk = admissions[start : start + fleet_size]
+        estimator = estimator_cls()
+        runner = runner_cls(baseline=baseline, corki=corki, estimator=estimator)
+        traces.extend(runner.run([env for env, _ in chunk], [lane for _, lane in chunk]))
+        estimates.append(
+            {slot: estimate.to_json() for slot, estimate in estimator.estimates().items()}
+        )
+    return [encode_traces(lane_traces) for lane_traces in traces], estimates
+
+
+class _Recorder:
+    """``run_continuous`` callbacks: completions, cancellations and the
+    ``should_cancel`` poll that evicts lane ``victim`` on its tenth poll."""
+
+    def __init__(self, lanes, victim=None):
+        self.index = {id(lane): position for position, lane in enumerate(lanes)}
+        self.victim = victim
+        self.polls = 0
+        self.events = []
+
+    def on_complete(self, lane, traces):
+        self.events.append(("complete", self.index[id(lane)], encode_traces(traces)))
+
+    def on_cancel(self, lane, traces):
+        self.events.append(("cancel", self.index[id(lane)], encode_traces(traces)))
+
+    def should_cancel(self, lane):
+        if self.index[id(lane)] != self.victim:
+            return False
+        self.polls += 1
+        return self.polls == 10
+
+
+def _roll_continuous(runner_cls, policies, slots, victim):
+    baseline, corki, _ = policies
+    admissions = _admissions("mixed")
+    recorder = _Recorder([lane for _, lane in admissions], victim)
+    served = runner_cls(baseline=baseline, corki=corki).run_continuous(
+        iter(admissions),
+        slots,
+        recorder.on_complete,
+        should_cancel=None if victim is None else recorder.should_cancel,
+        on_cancel=recorder.on_cancel,
+    )
+    return served, recorder.events
+
+
+class TestFrozenFleetReference:
+    """The array runner against the frozen per-lane-object runner.
+
+    Every lane's ``encode_traces`` bytes and every fleet's
+    ``FleetEstimator`` output must be identical, for all seven Tbl. 1
+    systems and a fleet mixing them, chained 5-task jobs, a 40-frame
+    budget, closed-loop feedback and fleet sizes 1, 7 and 32; and
+    ``run_continuous`` must retire, cancel and refill identically.
+    """
+
+    @pytest.mark.parametrize("fleet_size", [1, 7, 32])
+    @pytest.mark.parametrize("system", [*SYSTEMS, "mixed"])
+    def test_run_matches_frozen_runner(self, tiny_policies, system, fleet_size):
+        traces, estimates = _roll(FleetRunner, FleetEstimator, tiny_policies, system, fleet_size)
+        frozen_traces, frozen_estimates = _roll(
+            FrozenFleetRunner, FrozenEstimator, tiny_policies, system, fleet_size
+        )
+        for lane, (got, want) in enumerate(zip(traces, frozen_traces, strict=True)):
+            assert got == want, f"{system} lane {lane}: traces differ from the frozen runner"
+        assert estimates == frozen_estimates
+
+    def test_jobs_chain_and_end_mid_trajectory(self, tiny_policies):
+        """The reference jobs exercise what the bookkeeping must get right:
+        chained tasks, mid-trajectory successes and frame-budget endings."""
+        _, corki, _ = tiny_policies
+        admissions = _admissions("corki-9")
+        traces = FleetRunner(corki=corki).run(
+            [env for env, _ in admissions], [lane for _, lane in admissions]
+        )
+        episodes = [trace for lane in traces for trace in lane]
+        assert max(len(lane) for lane in traces) >= 3
+        assert any(trace.success and trace.executed_steps[-1] < 9 for trace in episodes)
+        assert any(trace.frames == REFERENCE_FRAMES for trace in episodes)
+
+    @pytest.mark.parametrize("victim", [None, 3])
+    def test_run_continuous_matches_frozen_runner(self, tiny_policies, victim):
+        """Five slots serve 32 mixed lanes; with a victim, one lane is
+        evicted mid-roll and its slot refilled."""
+        served, events = _roll_continuous(FleetRunner, tiny_policies, 5, victim)
+        frozen_served, frozen_events = _roll_continuous(
+            FrozenFleetRunner, tiny_policies, 5, victim
+        )
+        assert served == frozen_served
+        assert events == frozen_events
+        assert [kind for kind, _, _ in events].count("cancel") == (0 if victim is None else 1)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 7, 32])
+    def test_adaptive_steps_match_frozen_decide_steps(self, lanes):
+        """One stacked waypoint product, one flag comparison and one kernel
+        call decide what ``_decide_steps`` decided plan by plan."""
+        rng = np.random.default_rng(lanes)
+        plans = TrajectoryBatch(
+            origins=rng.normal(0.0, 0.1, (lanes, 6)),
+            coefficients=rng.normal(0.0, 0.02, (lanes, 6, 4)),
+            duration=0.3,
+            gripper_open=rng.random((lanes, 9)) < 0.85,
+        )
+        gripper_now = rng.random(lanes) < 0.5
+        rows = np.arange(lanes)
+        steps = _adaptive_steps(plans, rows, gripper_now)
+        frozen = [
+            _decide_steps(plans.trajectory(lane), VARIATIONS["corki-adap"], bool(gripper_now[lane]))
+            for lane in range(lanes)
+        ]
+        assert steps.tolist() == frozen

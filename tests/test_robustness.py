@@ -2,13 +2,14 @@
 
 import numpy as np
 
-from repro.core import VARIATIONS, run_corki_episode
-from repro.core.runner import _TokenWindow
+from repro.core import VARIATIONS, FleetLane, run_corki_episode
+from repro.core.fleet import LaneArrays
 from repro.sim import (
     PERFECT_ACTUATION,
     SEEN_LAYOUT,
     TASKS,
     ActuationModel,
+    BatchedManipulationEnv,
     ManipulationEnv,
     collect_demonstrations,
 )
@@ -79,37 +80,65 @@ class TestGraspBoundaries:
 
 
 class TestTokenWindow:
+    """The Corki window gather of the fleet's lane store (one slot)."""
+
+    @staticmethod
+    def _store(corki):
+        fleet = BatchedManipulationEnv([ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(0))])
+        store = LaneArrays(fleet, None, corki)
+        store.admit(
+            0,
+            FleetLane(
+                tasks=[TASKS[0]], variation=VARIATIONS["corki-5"],
+                rng=np.random.default_rng(1),
+            ),
+        )
+        return store
+
+    @staticmethod
+    def _insert(store, frame, token, inference):
+        store.insert_tokens(np.array([0]), np.array([frame]), token[None], inference)
+
+    @staticmethod
+    def _window(store, frame):
+        store.frame[0] = frame
+        return store.corki_windows(np.array([0]))[0]
+
     def test_feedback_token_enters_window(self, tiny_policies):
         _, corki, _ = tiny_policies
-        window = _TokenWindow(corki)
+        store = self._store(corki)
         rng = np.random.default_rng(0)
         observation = rng.normal(size=corki.observation_dim)
-        window.add_inference_frame(0, observation, 0)
-        window.add_feedback_frame(3, observation)
-        assembled = window.assemble(5)
+        self._insert(store, 0, corki.encode_frame_token(observation, 0), inference=True)
+        feedback = corki.encode_feedback_token(observation)
+        self._insert(store, 3, feedback, inference=False)
+        assembled = self._window(store, 5)
         mask = corki.mask_token()
         # Slot for frame 3 must differ from the mask embedding.
         slot = assembled[-(5 - 3) - 1]
         assert not np.allclose(slot, mask)
+        assert np.array_equal(slot, feedback)
 
     def test_unencoded_slots_are_mask(self, tiny_policies):
         _, corki, _ = tiny_policies
-        window = _TokenWindow(corki)
+        store = self._store(corki)
         rng = np.random.default_rng(0)
-        window.add_inference_frame(11, rng.normal(size=corki.observation_dim), 0)
-        assembled = window.assemble(11)
+        token = corki.encode_frame_token(rng.normal(size=corki.observation_dim), 0)
+        self._insert(store, 11, token, inference=True)
+        assembled = self._window(store, 11)
         mask = corki.mask_token()
-        assert np.allclose(assembled[0], mask)  # frame 0 never encoded
-        assert not np.allclose(assembled[-1], mask)  # current frame is real
+        assert np.array_equal(assembled[0], mask)  # frame 0 never encoded
+        assert np.array_equal(assembled[-1], token)  # current frame is real
 
     def test_warmup_padding_uses_first_real_token(self, tiny_policies):
         _, corki, _ = tiny_policies
-        window = _TokenWindow(corki)
+        store = self._store(corki)
         rng = np.random.default_rng(0)
-        window.add_inference_frame(0, rng.normal(size=corki.observation_dim), 0)
-        assembled = window.assemble(0)
+        token = corki.encode_frame_token(rng.normal(size=corki.observation_dim), 0)
+        self._insert(store, 0, token, inference=True)
+        assembled = self._window(store, 0)
         # Negative frames (before episode start) repeat the first real token.
-        assert np.allclose(assembled[0], assembled[-1])
+        assert np.array_equal(assembled, np.repeat(token[None], 12, axis=0))
 
 
 class TestRunnerEdgeCases:

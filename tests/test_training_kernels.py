@@ -13,6 +13,11 @@ every parameter gradient to match it byte for byte:
 * over one epoch of ``train_baseline`` and ``train_corki`` whose last batch
   is short, by the trained weights' bytes.
 
+The frozen reference's gates go through ``Tensor.sigmoid``, which is the
+same :func:`repro.nn.tensor.sigmoid_values` the fused kernels call, so a
+changed bit in the logistic would change both sides alike: the logistic is
+pinned on its own, byte for byte, against the masked form it replaced.
+
 Bitwise equality assumes the single-threaded BLAS kernels the references
 run under (CI pins ``OMP_NUM_THREADS=1``).
 """
@@ -25,19 +30,28 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.core.policy import WINDOW_LENGTH, BaselinePolicy, CorkiPolicy
 from repro.core.training import TrainingConfig, deployment_slot_pattern, train_baseline, train_corki
 from repro.nn.functional import bce_with_logits, mix_slots, mse_loss
 from repro.nn.layers import LSTM, LayerNorm
 from repro.nn.serialization import state_dict
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, sigmoid_values
 
 TOKEN_DIM, HIDDEN_DIM = 48, 96
 BATCH_SIZES = range(1, 33)
 
 
 # -- the frozen per-op reference ------------------------------------------------
+
+
+def reference_sigmoid(z):
+    """The masked logistic: both branches evaluated, then selected."""
+    z = np.asarray(z)
+    exp_z = np.exp(-np.abs(z))
+    denominator = 1.0 + exp_z
+    return np.where(z >= 0, 1.0 / denominator, exp_z / denominator)
 
 
 def reference_cell(cell, x, state):
@@ -159,6 +173,48 @@ def _leaf(data):
 
 
 # -- kernels at the quick profile's dims, every batch size -----------------------
+
+
+SIGMOID_SPECIALS = np.array(
+    [
+        0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan,
+        5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+        36.7, -36.7, 709.8, -709.8, 745.2, -745.2,
+    ]
+)
+_NAN_PAYLOADS = np.array(
+    [0x7FF0000000000001, 0x7FF4000000000000, 0xFFF8000000000001, 0x7FFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+def _sigmoid_bytes_match(z):
+    with np.errstate(invalid="ignore"):
+        return sigmoid_values(z).tobytes() == reference_sigmoid(z).tobytes()
+
+
+def test_sigmoid_values_matches_masked_reference_on_special_values():
+    for z in (SIGMOID_SPECIALS, _NAN_PAYLOADS, SIGMOID_SPECIALS.reshape(4, 5)):
+        assert _sigmoid_bytes_match(z)
+    assert _sigmoid_bytes_match(np.float64(-0.0))
+
+
+@given(
+    arrays(
+        np.float64,
+        array_shapes(max_dims=3, max_side=40),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+)
+def test_sigmoid_values_matches_masked_reference(z):
+    assert _sigmoid_bytes_match(z)
+
+
+@given(arrays(np.uint64, st.integers(1, 512)))
+def test_sigmoid_values_matches_masked_reference_on_bit_patterns(bits):
+    """Every float64 bit pattern, NaN payloads and subnormals included."""
+    assert _sigmoid_bytes_match(bits.view(np.float64))
 
 
 def test_lstm_matches_per_op_graph():

@@ -135,21 +135,40 @@ class TestPoseBatch:
             )
         return trajectories
 
+    @staticmethod
+    def _pose_batch(trajectories, times):
+        """``pose_batch`` over the trajectories' stacked arrays."""
+        return pose_batch(
+            np.stack([t.origin for t in trajectories]),
+            np.stack([t.coefficients for t in trajectories]),
+            np.array([t.duration for t in trajectories]),
+            times,
+        )
+
     def test_bitwise_equal_to_scalar_pose(self, rng):
         for count in (1, 2, 7, 32):
             trajectories = self._random_trajectories(rng, count)
             times = rng.uniform(-0.05, 0.8, size=count)  # includes clamp edges
-            batched = pose_batch(trajectories, times)
+            batched = self._pose_batch(trajectories, times)
             scalar = np.stack(
                 [t.pose(float(time)) for t, time in zip(trajectories, times)]
             )
             assert np.array_equal(batched, scalar)
 
     def test_execution_time_grid(self, rng):
-        """The exact call pattern of the fleet tick: step * step_dt times."""
+        """The exact call pattern of the fleet tick: the per-lane step times
+        ``step * (duration / steps)`` over one shared duration."""
         trajectories = self._random_trajectories(rng, 9)
-        steps = [int(rng.integers(1, t.steps + 1)) for t in trajectories]
-        times = np.array([s * t.step_dt for s, t in zip(steps, trajectories)])
-        batched = pose_batch(trajectories, times)
-        for k, (trajectory, step) in enumerate(zip(trajectories, steps)):
+        for trajectory in trajectories:
+            trajectory.duration = 0.3
+        steps = np.array([int(rng.integers(1, t.steps + 1)) for t in trajectories])
+        counts = np.array([t.steps for t in trajectories])
+        durations = np.full(len(trajectories), 0.3)
+        batched = pose_batch(
+            np.stack([t.origin for t in trajectories]),
+            np.stack([t.coefficients for t in trajectories]),
+            durations,
+            steps * (durations / counts),
+        )
+        for k, (trajectory, step) in enumerate(zip(trajectories, steps.tolist())):
             assert np.array_equal(batched[k], trajectory.pose(step * trajectory.step_dt))
