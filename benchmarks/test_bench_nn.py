@@ -1,8 +1,8 @@
-"""Benchmarks of the neural substrate: autograd ops, layers, attention."""
+"""Benchmarks of the neural substrate: autograd ops and layers."""
 
 import numpy as np
 
-from repro.nn import LSTM, Adam, MultiHeadSelfAttention, Tensor, mse_loss
+from repro.nn import LSTM, Adam, Tensor, mse_loss
 
 
 def test_matmul_forward_backward(benchmark):
@@ -42,9 +42,3 @@ def test_lstm_training_step(benchmark):
 
     benchmark(run)
 
-
-def test_attention_forward(benchmark):
-    rng = np.random.default_rng(0)
-    attention = MultiHeadSelfAttention(dim=48, heads=4, rng=rng)
-    tokens = Tensor(rng.normal(size=(13, 48)))
-    benchmark(attention, tokens)

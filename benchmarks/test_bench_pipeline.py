@@ -37,7 +37,7 @@ def test_pipeline_lane_batch(benchmark, n):
     """[fig13 batched] ``simulate_lanes`` throughput across the fleet axis.
 
     One Corki-5 pipeline trace per lane, every lane on its own keyed jitter
-    stream -- the shape ``FleetEstimator`` prices a fleet with.
+    stream -- the shape ``estimate_lanes`` prices an evaluation's lanes with.
     """
     from repro.pipeline import PipelineLane, lane_jitter_rng, simulate_lanes
 

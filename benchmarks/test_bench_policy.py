@@ -18,21 +18,15 @@ from repro.core import (
 from repro.sim import OBSERVATION_DIM, SEEN_LAYOUT, TASKS, ManipulationEnv
 
 
-def test_baseline_policy_inference(benchmark, tiny_policies):
-    """One per-frame action prediction (runs every 33 ms frame, Fig. 1a)."""
-    baseline, _, _ = tiny_policies
-    rng = np.random.default_rng(0)
-    window = rng.normal(size=(WINDOW_LENGTH, OBSERVATION_DIM))
-    benchmark(baseline.predict, window, 0)
-
-
 def test_baseline_policy_inference_batched(benchmark, tiny_policies):
-    """32 per-frame predictions in one batched pass (the fleet's hot path)."""
+    """32 per-frame predictions from the lanes' token rings in one batched
+    pass (the fleet's hot path: runs every 33 ms frame, Fig. 1a)."""
     baseline, _, _ = tiny_policies
     rng = np.random.default_rng(0)
-    windows = rng.normal(size=(32, WINDOW_LENGTH, OBSERVATION_DIM))
-    instructions = np.arange(32) % len(TASKS)
-    benchmark(baseline.predict_batch, windows, instructions)
+    rings = rng.normal(size=(32, WINDOW_LENGTH, baseline.token_dim))
+    deltas, grippers = benchmark(baseline.predict_token_batch, rings)
+    assert deltas.shape == (32, 6)
+    assert grippers.shape == (32,)
 
 
 def test_corki_trajectory_inference_batched(benchmark, tiny_policies):

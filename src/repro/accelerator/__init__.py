@@ -23,11 +23,8 @@ from repro.accelerator.scheduler import (
     ScheduleReport,
     ablation,
     baseline_cycles,
-    baseline_cycles_lanes,
     pipelined_cycles,
-    pipelined_cycles_lanes,
     reuse_cycles,
-    reuse_cycles_lanes,
 )
 
 __all__ = [
@@ -60,12 +57,9 @@ __all__ = [
     "ZC706",
     "ablation",
     "baseline_cycles",
-    "baseline_cycles_lanes",
     "jacobian_joint_sensitivity",
     "mass_matrix_joint_sensitivity",
     "pipelined_cycles",
-    "pipelined_cycles_lanes",
     "resource_report",
     "reuse_cycles",
-    "reuse_cycles_lanes",
 ]

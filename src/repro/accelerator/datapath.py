@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["UnitSpec", "DATAFLOW_UNITS", "CUSTOM_UNITS", "ALL_UNITS", "CLOCK_MHZ"]
 
 CLOCK_MHZ = 143.0
@@ -56,14 +54,6 @@ class UnitSpec:
     def cycles(self, links: int) -> int:
         """Latency to stream ``links`` items through this unit alone."""
         count = links if self.per_link else 1
-        return self.pipeline_depth + self.initiation_interval * count
-
-    def cycles_lanes(self, links: np.ndarray) -> np.ndarray:
-        """:meth:`cycles` for a whole fleet at once: per-lane link counts in,
-        per-lane cycle counts out.  Integer arithmetic, so exactly equal to
-        mapping :meth:`cycles` over the lanes."""
-        links = np.asarray(links, dtype=np.int64)
-        count = links if self.per_link else np.ones_like(links)
         return self.pipeline_depth + self.initiation_interval * count
 
     @property

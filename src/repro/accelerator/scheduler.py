@@ -11,18 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.accelerator.datapath import ALL_UNITS, CLOCK_MHZ, DATAFLOW_UNITS
 
 __all__ = [
     "ScheduleReport",
     "baseline_cycles",
-    "baseline_cycles_lanes",
     "reuse_cycles",
-    "reuse_cycles_lanes",
     "pipelined_cycles",
-    "pipelined_cycles_lanes",
     "ablation",
 ]
 
@@ -110,45 +105,6 @@ def pipelined_cycles(links: int) -> ScheduleReport:
     # standalone latency.  The joint-torque unit closes the cycle serially.
     custom = mass.cycles(links) // 3 + bias.cycles(links) // 2 + torque.cycles(links)
     return ScheduleReport("reuse+pipeline", dataflow + custom)
-
-
-def baseline_cycles_lanes(links: np.ndarray) -> np.ndarray:
-    """:func:`baseline_cycles` for per-lane link counts; one array op per unit."""
-    links = np.asarray(links, dtype=np.int64)
-    total = np.zeros_like(links)
-    for chain in _BASELINE_BLOCK_CHAINS.values():
-        for unit_name in chain:
-            total = total + _UNIT[unit_name].cycles_lanes(links)
-    return total
-
-
-def reuse_cycles_lanes(links: np.ndarray) -> np.ndarray:
-    """:func:`reuse_cycles` for per-lane link counts."""
-    links = np.asarray(links, dtype=np.int64)
-    total = np.zeros_like(links)
-    for unit_name in _REUSED_CHAIN + _REUSED_CUSTOM:
-        total = total + _UNIT[unit_name].cycles_lanes(links)
-    return total
-
-
-def pipelined_cycles_lanes(links: np.ndarray) -> np.ndarray:
-    """:func:`pipelined_cycles` for per-lane link counts.
-
-    Same fill/initiation/drain composition as the scalar schedule; all
-    arithmetic is integral, so each lane's count equals the scalar call's.
-    """
-    links = np.asarray(links, dtype=np.int64)
-    dataflow_fill = sum(unit.pipeline_depth for unit in DATAFLOW_UNITS)
-    slowest = max(unit.initiation_interval for unit in DATAFLOW_UNITS)
-    dataflow = dataflow_fill + slowest * links
-
-    mass, bias, torque = (_UNIT[name] for name in _REUSED_CUSTOM)
-    custom = (
-        mass.cycles_lanes(links) // 3
-        + bias.cycles_lanes(links) // 2
-        + torque.cycles_lanes(links)
-    )
-    return dataflow + custom
 
 
 def ablation(links: int = 7) -> dict[str, ScheduleReport]:

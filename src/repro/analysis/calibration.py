@@ -267,7 +267,6 @@ def threshold_sweep(
     seed: int = 3,
     control_hz: float = 100.0,
     physics_hz: float = 500.0,
-    batched: bool = True,
 ) -> list[ThresholdPoint]:
     """Sweep the ACE threshold: speedup and trajectory error (paper Fig. 15).
 
@@ -275,11 +274,9 @@ def threshold_sweep(
     by the mean at the swept threshold; trajectory error is the RMSE of
     TS-CTC tracking with the approximating accelerator in the loop.
 
-    With ``batched`` (the default) each threshold tracks all sampled
-    trajectories as one lockstep fleet through the lane kernels;
-    ``batched=False`` runs the scalar reference loop.  The outputs are
-    bitwise identical either way -- the differential test harness pins
-    that down.
+    Each threshold tracks all sampled trajectories as one lockstep fleet
+    through the lane kernels; the differential test harness pins the
+    points bitwise to a scalar :func:`track_trajectory` loop.
     """
     thresholds = thresholds if thresholds is not None else [0.0, 0.2, 0.4, 0.6, 0.8]
     model = panda()
@@ -293,28 +290,15 @@ def threshold_sweep(
         cycle_counts: list[int] = []
         errors = []
         skip_rates = []
-        if batched:
-            accelerators = [
-                CorkiAccelerator(model, threshold=threshold) for _ in samples
-            ]
-            reports = track_trajectories_lanes(
-                model, samples, control_hz=control_hz, physics_hz=physics_hz,
-                accelerators=accelerators,
-            )
-            for accelerator, report in zip(accelerators, reports):
-                cycle_counts.extend(accelerator.cycle_log)
-                errors.append(report.rmse_m)
-                skip_rates.append(accelerator.skip_rate)
-        else:
-            for trajectory in samples:
-                accelerator = CorkiAccelerator(model, threshold=threshold)
-                report = track_trajectory(
-                    model, trajectory, control_hz=control_hz, physics_hz=physics_hz,
-                    accelerator=accelerator,
-                )
-                cycle_counts.extend(accelerator.cycle_log)
-                errors.append(report.rmse_m)
-                skip_rates.append(accelerator.skip_rate)
+        accelerators = [CorkiAccelerator(model, threshold=threshold) for _ in samples]
+        reports = track_trajectories_lanes(
+            model, samples, control_hz=control_hz, physics_hz=physics_hz,
+            accelerators=accelerators,
+        )
+        for accelerator, report in zip(accelerators, reports):
+            cycle_counts.extend(accelerator.cycle_log)
+            errors.append(report.rmse_m)
+            skip_rates.append(accelerator.skip_rate)
         mean_cycles = float(np.mean(cycle_counts))
         if reference_cycles is None:
             reference_cycles = mean_cycles

@@ -152,20 +152,6 @@ class SystemEvaluation:
     lane_steps: list[list[int]] = field(default_factory=list, repr=False)
 
     @property
-    def mean_estimated_latency_ms(self) -> float:
-        """Mean per-frame latency estimate across lanes (0.0 if none)."""
-        if not self.estimates:
-            return 0.0
-        return float(np.mean([estimate.mean_latency_ms for estimate in self.estimates]))
-
-    @property
-    def mean_estimated_energy_j(self) -> float:
-        """Mean per-frame energy estimate across lanes (0.0 if none)."""
-        if not self.estimates:
-            return 0.0
-        return float(np.mean([estimate.mean_energy_j for estimate in self.estimates]))
-
-    @property
     def executed_steps(self) -> list[int]:
         """Concatenated executed-steps sequence for the pipeline model."""
         steps: list[int] = []

@@ -13,7 +13,8 @@ plus one job of chained tasks each) through shared *ticks*, where every tick
    lengths differ -- the same per-inference bookkeeping
    ``EpisodeTrace.executed_steps`` records);
 2. gathers every baseline lane (which needs inference on *every* frame,
-   paper Fig. 1a) into one ``predict_batch`` call;
+   paper Fig. 1a), encodes its newest frame in one batched VLM call and
+   runs one ``predict_token_batch`` call on the lanes' token rings;
 3. advances each active lane one camera frame through
    :class:`repro.sim.env.BatchedManipulationEnv`; and
 4. settles the tick's bookkeeping as array updates and batch-encodes the
@@ -261,16 +262,6 @@ class LaneArrays:
         else:
             self.active[slot] = False
 
-    def system(self, slot: int) -> str:
-        """The system name of the lane in ``slot`` (Tbl. 1 naming)."""
-        lane = self.lanes[slot]
-        assert lane is not None
-        return "roboflamingo" if lane.variation is None else lane.variation.name
-
-    def closed(self, slots: np.ndarray) -> np.ndarray:
-        """Per slot: no trajectory is in flight (a baseline frame is one)."""
-        return ~self.corki[slots] | (self.planned[slots] == 0) | ~self.active[slots]
-
     # -- token state ------------------------------------------------------------
 
     def push_ring_tokens(self, slots: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -322,15 +313,9 @@ class FleetRunner:
         self,
         baseline: BaselinePolicy | None = None,
         corki: CorkiPolicy | None = None,
-        estimator=None,
     ):
         self.baseline = baseline
         self.corki = corki
-        #: optional :class:`repro.pipeline.estimate.FleetEstimator`; when
-        #: set, every tick hands it the slots that advanced a camera frame
-        #: so per-lane latency/energy estimates accumulate alongside the
-        #: rollout (no effect on episode numerics).
-        self.estimator = estimator
 
     def _admit(self, store: LaneArrays, slot: int, lane: FleetLane) -> None:
         """Admit one lane into slot ``slot``: reset its env and its row."""
@@ -568,8 +553,6 @@ class FleetRunner:
         finished = succeeded | ((frame >= store.max_frames[slots]) & (~corki | ended))
         for slot, success in zip(slots[finished].tolist(), succeeded[finished].tolist()):
             store.finish_episode(slot, success)
-        if self.estimator is not None:
-            self.estimator.observe(store, slots)
         if not captured.any():
             return
         assert self.corki is not None

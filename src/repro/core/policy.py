@@ -133,30 +133,6 @@ class BaselinePolicy(_PolicyBase):
         hidden = self.lstm(self.encode_tokens(observations, instruction))
         return self.pose_head(hidden), self.gripper_head(hidden)
 
-    def predict_batch(
-        self, observation_windows: np.ndarray, instructions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deployment inference for a fleet of episodes in one forward pass.
-
-        ``observation_windows`` is ``(batch, window, obs)`` and
-        ``instructions`` an int array ``(batch,)``; returns the physical
-        ``(batch, 6)`` pose deltas and a ``(batch,)`` boolean gripper array.
-        This is the hot path of :class:`repro.core.fleet.FleetRunner`: one
-        set of matmuls replaces ``batch`` Python-level forward passes.
-        """
-        def forward(windows, instr):
-            hidden = self.lstm.infer(self.vlm.infer(windows, instr))
-            return self.pose_head.infer(hidden), self.gripper_head.infer(hidden)
-
-        pose, gripper = _batched_forward(
-            (
-                np.asarray(observation_windows, dtype=float),
-                np.asarray(instructions, dtype=int),
-            ),
-            forward,
-        )
-        return self.normalizer.denormalize(pose), gripper[:, 0] > 0.0
-
     def predict_token_batch(
         self, token_windows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,19 +154,6 @@ class BaselinePolicy(_PolicyBase):
             (np.asarray(token_windows, dtype=float),), forward
         )
         return self.normalizer.denormalize(pose), gripper[:, 0] > 0.0
-
-    def predict(
-        self, observation_window: np.ndarray, instruction: int
-    ) -> tuple[np.ndarray, bool]:
-        """Deployment inference: physical pose delta plus the gripper bit.
-
-        Thin batch-of-one wrapper over :meth:`predict_batch`, so a standalone
-        episode computes exactly what the same episode inside a fleet would.
-        """
-        deltas, grippers = self.predict_batch(
-            np.asarray(observation_window, dtype=float)[None], np.array([instruction])
-        )
-        return deltas[0], bool(grippers[0])
 
 
 class CorkiPolicy(_PolicyBase):

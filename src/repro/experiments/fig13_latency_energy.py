@@ -18,14 +18,7 @@ from __future__ import annotations
 from repro.analysis.reporting import format_table
 from repro.experiments.context import shared_context
 from repro.experiments.profiles import Profile
-from repro.pipeline import (
-    PipelineLane,
-    SystemStages,
-    simulate_baseline,
-    simulate_corki,
-    simulate_lanes,
-    system_jitter_rng,
-)
+from repro.pipeline import PipelineLane, SystemStages, simulate_lanes, system_jitter_rng
 
 __all__ = ["run", "system_lanes", "system_traces"]
 
@@ -78,36 +71,19 @@ def system_lanes(frames: int, adap_steps: list[int]) -> list[PipelineLane]:
     return lanes
 
 
-def system_traces(profile: Profile | None = None, batched: bool = True):
+def system_traces(profile: Profile | None = None):
     """Pipeline traces for the baseline and every Corki variation.
 
-    ``batched`` evaluates all systems in one :func:`simulate_lanes` call
-    (returning per-system :class:`~repro.pipeline.TraceView` lanes);
-    ``batched=False`` runs the scalar reference executors.  Both paths key
-    jitter per system, so the bytes are identical either way.
+    All systems evaluate in one :func:`simulate_lanes` call, returning
+    per-system :class:`~repro.pipeline.TraceView` lanes; jitter is keyed per
+    system, so the bytes equal the scalar reference executors'.
     """
     context = shared_context(profile)
     frames = context.profile.pipeline_frames
     adap_steps = context.evaluations("seen")["corki-adap"].executed_steps
     if not adap_steps:
         adap_steps = [5]
-    lanes = system_lanes(frames, adap_steps)
-    if batched:
-        return {view.name: view for view in simulate_lanes(lanes)}
-    traces = {}
-    for lane in lanes:
-        if lane.frames is not None:
-            traces[lane.name] = simulate_baseline(
-                lane.frames, stages=lane.stages, rng=lane.rng, name=lane.name
-            )
-        else:
-            traces[lane.name] = simulate_corki(
-                list(lane.executed_steps),
-                stages=lane.stages,
-                rng=lane.rng,
-                name=lane.name,
-            )
-    return traces
+    return {view.name: view for view in simulate_lanes(system_lanes(frames, adap_steps))}
 
 
 def run(profile: Profile | None = None) -> str:

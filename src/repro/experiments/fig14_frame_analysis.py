@@ -19,13 +19,7 @@ import numpy as np
 from repro.analysis.reporting import format_series
 from repro.experiments.context import shared_context
 from repro.experiments.profiles import Profile
-from repro.pipeline import (
-    PipelineLane,
-    simulate_baseline,
-    simulate_corki,
-    simulate_lanes,
-    system_jitter_rng,
-)
+from repro.pipeline import PipelineLane, simulate_lanes, system_jitter_rng
 
 __all__ = ["run", "frame_lanes", "frame_traces"]
 
@@ -62,27 +56,12 @@ def frame_lanes(adap_steps: list[int]) -> list[PipelineLane]:
     ]
 
 
-def frame_traces(profile: Profile | None = None, batched: bool = True):
+def frame_traces(profile: Profile | None = None):
     """Per-frame traces for one sequence: baseline, Corki-5, Corki-ADAP."""
     context = shared_context(profile)
     adap_eval = context.evaluations("seen")["corki-adap"]
     lanes = frame_lanes(list(adap_eval.executed_steps))
-    if batched:
-        return {view.name: view for view in simulate_lanes(lanes)}
-    traces = {}
-    for lane in lanes:
-        if lane.frames is not None:
-            traces[lane.name] = simulate_baseline(
-                lane.frames, stages=lane.stages, rng=lane.rng, name=lane.name
-            )
-        else:
-            traces[lane.name] = simulate_corki(
-                list(lane.executed_steps),
-                stages=lane.stages,
-                rng=lane.rng,
-                name=lane.name,
-            )
-    return traces
+    return {view.name: view for view in simulate_lanes(lanes)}
 
 
 def run(profile: Profile | None = None) -> str:

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor, _unbroadcast, as_tensor
 
-__all__ = ["mse_loss", "bce_with_logits", "softmax", "mix_slots"]
+__all__ = ["mse_loss", "bce_with_logits", "mix_slots"]
 
 
 def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
@@ -34,13 +34,6 @@ def bce_with_logits(logits: Tensor, target: Tensor | np.ndarray) -> Tensor:
     probs = probs * (1.0 - 2.0 * eps) + eps  # clamp away from {0, 1}
     loss = -(target * probs.log() + (1.0 - target) * (1.0 - probs).log())
     return loss.mean()
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Softmax over the last axis (shift-stabilised)."""
-    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    exps = shifted.exp()
-    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def mix_slots(

@@ -4,7 +4,7 @@ PyTorch is not available in the reproduction environment, so the policy
 networks (the RoboFlamingo-style LSTM policy head and the Corki trajectory
 head) are trained with this engine.  It implements exactly the operator set
 those models need -- dense algebra, the LSTM gate nonlinearities, reductions,
-concatenation and slicing -- with full broadcasting support.
+reshaping and slicing -- with full broadcasting support.
 
 Design notes:
 
@@ -19,17 +19,14 @@ Design notes:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "as_tensor",
-    "stack",
-    "concat",
     "no_grad",
-    "is_grad_enabled",
     "sigmoid_values",
 ]
 
@@ -51,11 +48,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._previous
         return False
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations currently record the autodiff graph."""
-    return _GRAD_ENABLED
 
 
 def sigmoid_values(z: np.ndarray) -> np.ndarray:
@@ -140,9 +132,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -273,15 +262,6 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._result(self.data * mask, (self,), backward)
-
     # -- reductions and shape ops --------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
@@ -309,26 +289,6 @@ class Tensor:
                 self._accumulate(grad.reshape(self.shape))
 
         return Tensor._result(data, (self,), backward)
-
-    def transpose(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.T)
-
-        return Tensor._result(self.data.T, (self,), backward)
-
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        """Exchange two axes (a batched transpose), differentiable.
-
-        One graph node regardless of batch size -- the backward pass swaps
-        the gradient's axes back -- unlike a per-slice ``stack`` of 2-D
-        transposes, whose graph grows with the leading dimension.
-        """
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(grad, axis1, axis2))
-
-        return Tensor._result(np.swapaxes(self.data, axis1, axis2), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
@@ -376,34 +336,3 @@ class Tensor:
 def as_tensor(value: ArrayLike | Tensor) -> Tensor:
     """Wrap ``value`` in a constant :class:`Tensor` unless it already is one."""
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, differentiable in every input."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._result(data, tuple(tensors), backward)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along an existing axis, differentiable in every input."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(int(start), int(stop))
-                tensor._accumulate(grad[tuple(index)])
-
-    return Tensor._result(data, tuple(tensors), backward)

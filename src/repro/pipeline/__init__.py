@@ -2,7 +2,6 @@
 
 from repro.pipeline.estimate import (
     DEFAULT_ESTIMATE_SEED,
-    FleetEstimator,
     PipelineEstimate,
     estimate_from_steps,
     estimate_lanes,
@@ -10,7 +9,6 @@ from repro.pipeline.estimate import (
 )
 from repro.pipeline.executor import (
     PipelineLane,
-    executed_steps_from_trace,
     lane_jitter_rng,
     simulate_baseline,
     simulate_corki,
@@ -30,7 +28,6 @@ __all__ = [
     "CommunicationStage",
     "ControlStage",
     "DEFAULT_ESTIMATE_SEED",
-    "FleetEstimator",
     "FrameRecord",
     "InferenceStage",
     "PipelineEstimate",
@@ -42,7 +39,6 @@ __all__ = [
     "TraceView",
     "estimate_from_steps",
     "estimate_lanes",
-    "executed_steps_from_trace",
     "lane_jitter_rng",
     "simulate_baseline",
     "simulate_corki",

@@ -17,12 +17,6 @@ so an estimate is a pure function of ``(system, structure, seed, lane)``
 what makes a cache hit's estimate bitwise identical to the fresh roll it
 replaces (``tests/test_serving.py``) and the batched figure paths byte
 identical to their scalar references (``tests/test_batched_equivalence.py``).
-
-:class:`FleetEstimator` is the :class:`repro.core.fleet.FleetRunner` hook:
-each fleet tick feeds it the lanes that advanced one camera frame, it
-accumulates every lane's frame structure (trajectory boundaries included),
-and :meth:`FleetEstimator.estimates` costs all lanes in one
-``simulate_lanes`` call.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from repro.pipeline.trace import TraceView
 
 __all__ = [
     "DEFAULT_ESTIMATE_SEED",
-    "FleetEstimator",
     "PipelineEstimate",
     "estimate_from_steps",
     "estimate_lanes",
@@ -71,14 +64,6 @@ class PipelineEstimate:
     frames: int
     mean_latency_ms: float
     mean_energy_j: float
-
-    @property
-    def frequency_hz(self) -> float:
-        return 1000.0 / self.mean_latency_ms
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.frames * self.mean_energy_j
 
     def to_json(self) -> dict:
         """JSON-ready mapping (the serving response's ``estimate`` block)."""
@@ -117,6 +102,7 @@ def _lane_for(
     )
 
 
+# repro: allow[BATCH-REF] reason=prices lanes through simulate_lanes, whose scalar twins simulate_baseline/simulate_corki the differential harness pins
 def estimate_lanes(
     system: str,
     lane_steps: list[list[int]],
@@ -150,75 +136,3 @@ def estimate_from_steps(
 ) -> PipelineEstimate:
     """Estimate one lane -- the N=1 case of :func:`estimate_lanes`."""
     return estimate_lanes(system, [list(executed_steps)], seed, [lane])[0]
-
-
-class _LaneLog:
-    """Frame structure one fleet lane accumulated so far."""
-
-    __slots__ = ("system", "steps", "open_steps")
-
-    def __init__(self, system: str):
-        self.system = system
-        self.steps: list[int] = []
-        self.open_steps = 0
-
-    def advance(self, closed: bool) -> None:
-        self.open_steps += 1
-        if closed:
-            self.steps.append(self.open_steps)
-            self.open_steps = 0
-
-
-class FleetEstimator:
-    """Accumulate per-lane latency/energy structure as a fleet ticks.
-
-    Pass one to :class:`repro.core.fleet.FleetRunner`; after every tick the
-    runner hands over the lanes that advanced a camera frame.  Baseline
-    lanes close a "trajectory" every frame; Corki lanes close when their
-    executed trajectory ends (including mid-trajectory success and episode
-    chaining).  :meth:`estimates` then prices all lanes through one
-    :func:`~repro.pipeline.executor.simulate_lanes` call, keyed per lane
-    index so the numbers are fleet-size invariant.
-    """
-
-    def __init__(self, seed: int = DEFAULT_ESTIMATE_SEED):
-        self.seed = seed
-        self._logs: dict[int, _LaneLog] = {}
-
-    def observe(self, store, slots) -> None:
-        """Record one executed camera frame for every slot in ``slots``.
-
-        ``store`` is the runner's :class:`repro.core.fleet.LaneArrays`: a
-        slot's system is read the first time it ticks, and its
-        ``closed(slots)`` mask marks the slots whose executed trajectory
-        ended on this frame.
-        """
-        for slot, closed in zip(slots.tolist(), store.closed(slots).tolist()):
-            log = self._logs.get(slot)
-            if log is None:
-                log = self._logs[slot] = _LaneLog(store.system(slot))
-            log.advance(closed=closed)
-
-    def estimates(self) -> dict[int, PipelineEstimate]:
-        """Per-lane-index estimates, all lanes costed in one batched call.
-
-        Lanes that never closed a trajectory (or never ticked) are absent.
-        """
-        items = [
-            (index, log)
-            for index, log in sorted(self._logs.items())
-            if log.steps
-        ]
-        if not items:
-            return {}
-        estimates: dict[int, PipelineEstimate] = {}
-        by_system: dict[str, list[tuple[int, _LaneLog]]] = {}
-        for index, log in items:
-            by_system.setdefault(log.system, []).append((index, log))
-        for system, group in by_system.items():
-            indices = [index for index, _ in group]
-            results = estimate_lanes(
-                system, [log.steps for _, log in group], self.seed, indices
-            )
-            estimates.update(zip(indices, results))
-        return dict(sorted(estimates.items()))

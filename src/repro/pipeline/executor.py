@@ -46,7 +46,6 @@ __all__ = [
     "simulate_baseline",
     "simulate_corki",
     "simulate_lanes",
-    "executed_steps_from_trace",
 ]
 
 
@@ -285,16 +284,3 @@ def simulate_lanes(lanes: list[PipelineLane]) -> TraceArrays:
         else:
             _fill_corki_lane(arrays, index, lane)
     return arrays
-
-
-def executed_steps_from_trace(trace) -> list[int]:
-    """Extract the executed-steps sequence from an accuracy-run episode trace.
-
-    Accepts any object with an ``executed_steps`` attribute -- in practice a
-    :class:`repro.core.runner.EpisodeTrace`; kept duck-typed so the pipeline
-    package does not import the core package.
-    """
-    steps = list(trace.executed_steps)
-    if not steps:
-        raise ValueError("episode trace carries no executed trajectories")
-    return steps

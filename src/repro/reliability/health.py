@@ -33,12 +33,3 @@ class HealthCounters:
     timeouts: int = 0
     degradations: int = 0
     faults_injected: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "retries": self.retries,
-            "respawns": self.respawns,
-            "timeouts": self.timeouts,
-            "degradations": self.degradations,
-            "faults_injected": self.faults_injected,
-        }

@@ -8,7 +8,6 @@ from repro.robot.batched import (
     bias_forces_lanes,
     forward_kinematics_lanes,
     geometric_jacobian_lanes,
-    gravity_forces_lanes,
     ik_step_lanes,
     jacobian_dot_qd_lanes,
     link_transforms_lanes,
@@ -68,7 +67,6 @@ __all__ = [
     "geometric_jacobian_lanes",
     "geometric_jacobian_reference",
     "gravity_forces",
-    "gravity_forces_lanes",
     "ik_step",
     "ik_step_lanes",
     "jacobian_dot_qd",

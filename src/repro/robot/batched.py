@@ -46,7 +46,6 @@ __all__ = [
     "pose_error_lanes",
     "rnea_lanes",
     "bias_forces_lanes",
-    "gravity_forces_lanes",
     "semi_implicit_euler_step_lanes",
     "skew_lanes",
     "spatial_transform_lanes",
@@ -271,13 +270,6 @@ def bias_forces_lanes(model: RobotModel, q: np.ndarray, qd: np.ndarray) -> np.nd
     """Stacked Coriolis/centrifugal/gravity torques ``h(q, qd)``."""
     q = _lane_configs(model, q)
     return rnea_lanes(model, q, qd, np.zeros_like(q))
-
-
-def gravity_forces_lanes(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Stacked gravity torques ``g(q)``."""
-    q = _lane_configs(model, q)
-    zeros = np.zeros_like(q)
-    return rnea_lanes(model, q, zeros, zeros)
 
 
 def mass_matrix_lanes(model: RobotModel, q: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from repro.robot.batched import (
     pose_error_lanes,
 )
 from repro.robot.dynamics import operational_space_quantities
-from repro.robot.jacobian import geometric_jacobian
 from repro.robot.kinematics import forward_kinematics
 from repro.robot.model import RobotModel
 from repro.robot.spatial import rotation_error, rpy_to_matrix
@@ -159,7 +158,3 @@ class TaskSpaceComputedTorqueController:
         nullspace = np.eye(self.model.dof) - jac_t @ jbar_t
         tau = tau - _matvec(nullspace, self.gains.nullspace_damping * qd)
         return self.model.clamp_torque(tau)
-
-    def tracking_twist(self, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        """Measured end-effector twist, convenience for logging and tests."""
-        return geometric_jacobian(self.model, q) @ np.asarray(qd)

@@ -305,12 +305,13 @@ class ResultCache:
         if payload is None:
             self.misses += 1
             return None
-        read_index = self._reads.get(key, 0)
-        self._reads[key] = read_index + 1
-        if self.fault_plan is not None and self.fault_plan.corrupts_cache_read(
-            key, read_index
-        ):
-            payload = self.fault_plan.truncate(payload)
+        if self.fault_plan is not None:
+            # Per-key read counts feed the fault plan's draws; without a
+            # plan they would only grow with every key ever served.
+            read_index = self._reads.get(key, 0)
+            self._reads[key] = read_index + 1
+            if self.fault_plan.corrupts_cache_read(key, read_index):
+                payload = self.fault_plan.truncate(payload)
         try:
             traces = decode_traces(payload)
         except Exception:

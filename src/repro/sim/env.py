@@ -334,25 +334,16 @@ def step_lanes(
     # Kernel order (shared verbatim by the scalar and batched paths):
     # displacement/gain/noise/clamp -> gripper events -> held-object drag ->
     # block shove -> button edge -> render.
-    count = len(lanes)
     ee = arrays.ee_pose[lanes]
     displacement = targets - ee
     gains = np.array([model.tracking_gain for model in models])
     realised = gains[:, None] * displacement
 
-    noise = None
-    noisy: list[int] = []
-    for k, (env, model) in enumerate(zip(envs, models)):
-        if model.noise_std > 0.0:
-            draw = env.rng.normal(0.0, model.noise_std, size=6)
-            draw[3:] *= 2.0  # orientation noise in radians is relatively larger
-            if noise is None:
-                noise = np.zeros((count, 6))
-            noise[k] = draw
-            noisy.append(k)
+    noisy = [k for k, model in enumerate(models) if model.noise_std > 0.0]
     if noisy:
-        rows = np.array(noisy)
-        realised[rows] += noise[rows]
+        noise = np.array([envs[k].rng.normal(0.0, models[k].noise_std, size=6) for k in noisy])
+        noise[:, 3:] *= 2.0  # orientation noise in radians is relatively larger
+        realised[noisy] += noise
 
     new_pose = ee + realised
     new_pose[:, :3] = WORKSPACE.clamp(new_pose[:, :3])

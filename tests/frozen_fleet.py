@@ -5,11 +5,10 @@ arrays (:class:`repro.core.fleet.LaneArrays`): one Python object per lane,
 a dict-backed Corki token window, a per-lane baseline token ring shifted by
 copying, per-lane ``CubicTrajectory`` plans stacked for every tick's pose
 evaluation, and the scalar Algorithm 1 loop deciding each adaptive plan.
-Only three seams touch today's program: ``predict_trajectory_batch`` now
+Only two seams touch today's program: ``predict_trajectory_batch`` now
 returns arrays, which are wrapped back into ``CubicTrajectory`` objects;
-the stacked pose evaluation is the earlier object-list form of
-``pose_batch`` (:func:`_pose_batch`); and the estimator hook calls the
-earlier per-state ``observe`` (:class:`FrozenEstimator`).
+and the stacked pose evaluation is the earlier object-list form of
+``pose_batch`` (:func:`_pose_batch`).
 
 The array runner must reproduce this one byte for byte
 (``tests/test_fleet.py``); unlike the single-episode wrappers, which are
@@ -30,8 +29,6 @@ from repro.core.policy import WINDOW_LENGTH, BaselinePolicy, CorkiPolicy
 from repro.core.runner import EpisodeTrace, _reference_path
 from repro.core.trajectory import polynomial_design_matrix
 from repro.core.waypoints import adaptive_termination_step, gripper_change_flags
-from repro.pipeline import FleetEstimator
-from repro.pipeline.estimate import _LaneLog
 from repro.sim.env import (
     TRACKING_100HZ,
     TRACKING_30HZ,
@@ -264,22 +261,6 @@ class _CorkiLaneState(_LaneState):
         return captured
 
 
-class FrozenEstimator(FleetEstimator):
-    """:class:`repro.pipeline.FleetEstimator` with its per-state ``observe``."""
-
-    def observe(self, states: list) -> None:  # type: ignore[override]
-        for state in states:
-            log = self._logs.get(state.index)
-            if log is None:
-                variation = state.lane.variation
-                system = "roboflamingo" if variation is None else variation.name
-                log = self._logs[state.index] = _LaneLog(system)
-            if state.lane.variation is None:
-                log.advance(closed=True)
-            else:
-                log.advance(closed=state.trajectory is None or state.done)
-
-
 class FrozenFleetRunner:
     """The per-lane-object fleet runner; same API as ``FleetRunner``."""
 
@@ -287,11 +268,9 @@ class FrozenFleetRunner:
         self,
         baseline: BaselinePolicy | None = None,
         corki: CorkiPolicy | None = None,
-        estimator=None,
     ):
         self.baseline = baseline
         self.corki = corki
-        self.estimator = estimator
 
     def _make_state(self, index: int, env: ManipulationEnv, lane: FleetLane) -> _LaneState:
         if lane.variation is None:
@@ -458,8 +437,6 @@ class FrozenFleetRunner:
             for state, observation, success in zip(active, observations, succeeded)
             if state.after_step(observation, bool(success))
         ]
-        if self.estimator is not None:
-            self.estimator.observe(active)
         if not feedback:
             return
         assert self.corki is not None

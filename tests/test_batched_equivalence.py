@@ -11,18 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden_figures import scalar_threshold_sweep
 
-from repro.accelerator import (
-    ALL_UNITS,
-    AcceleratorLanes,
-    CorkiAccelerator,
-    baseline_cycles,
-    baseline_cycles_lanes,
-    pipelined_cycles,
-    pipelined_cycles_lanes,
-    reuse_cycles,
-    reuse_cycles_lanes,
-)
+from repro.accelerator import AcceleratorLanes, CorkiAccelerator
 from repro.analysis.calibration import (
     sample_trajectory,
     threshold_sweep,
@@ -233,28 +224,6 @@ class TestPipelineTraces:
 
 
 @pytest.mark.parametrize("lanes", FLEET_SIZES)
-class TestDatapathCosting:
-    def test_unit_cycles(self, lanes):
-        links = np.arange(1, lanes + 1, dtype=np.int64)
-        for unit in ALL_UNITS:
-            batched = unit.cycles_lanes(links)
-            scalars = [unit.cycles(int(n)) for n in links]
-            assert_scalar_batched_equal(batched, scalars)
-            assert batched.dtype == np.int64
-
-    def test_schedules(self, lanes):
-        links = np.arange(1, lanes + 1, dtype=np.int64)
-        for batched_fn, scalar_fn in (
-            (baseline_cycles_lanes, baseline_cycles),
-            (reuse_cycles_lanes, reuse_cycles),
-            (pipelined_cycles_lanes, pipelined_cycles),
-        ):
-            batched = batched_fn(links)
-            scalars = [scalar_fn(int(n)).cycles for n in links]
-            assert_scalar_batched_equal(batched, scalars)
-
-
-@pytest.mark.parametrize("lanes", FLEET_SIZES)
 def test_estimate_lanes_is_fleet_size_invariant(lanes):
     steps = [[5, 3, 7] for _ in range(lanes)]
     batch = estimate_lanes("corki-5", steps, seed=11)
@@ -345,7 +314,7 @@ class TestTrackingLanes:
 
     def test_threshold_sweep_batched_equals_scalar(self):
         kwargs = dict(thresholds=[0.0, 0.6], trajectories=1)
-        assert threshold_sweep(**kwargs) == threshold_sweep(batched=False, **kwargs)
+        assert threshold_sweep(**kwargs) == scalar_threshold_sweep(**kwargs)
 
 
 class TestFigureLanes:

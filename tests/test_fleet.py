@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from frozen_fleet import FrozenEstimator, FrozenFleetRunner, _decide_steps
+from frozen_fleet import FrozenFleetRunner, _decide_steps
 
 from repro.analysis.evaluation import build_lane
 from repro.core.fleet import _adaptive_steps
@@ -36,7 +36,6 @@ from repro.core import (
     run_corki_fleet,
     run_job,
 )
-from repro.pipeline import FleetEstimator
 from repro.serving.cache import encode_traces
 from repro.sim import (
     BLOCK_NAMES,
@@ -562,20 +561,16 @@ def _admissions(system):
     ]
 
 
-def _roll(runner_cls, estimator_cls, policies, system, fleet_size):
-    """Every lane's encoded traces and per-fleet estimator output."""
+def _roll(runner_cls, policies, system, fleet_size):
+    """Every lane's encoded traces."""
     baseline, corki, _ = policies
     admissions = _admissions(system)
-    traces, estimates = [], []
+    traces = []
     for start in range(0, len(admissions), fleet_size):
         chunk = admissions[start : start + fleet_size]
-        estimator = estimator_cls()
-        runner = runner_cls(baseline=baseline, corki=corki, estimator=estimator)
+        runner = runner_cls(baseline=baseline, corki=corki)
         traces.extend(runner.run([env for env, _ in chunk], [lane for _, lane in chunk]))
-        estimates.append(
-            {slot: estimate.to_json() for slot, estimate in estimator.estimates().items()}
-        )
-    return [encode_traces(lane_traces) for lane_traces in traces], estimates
+    return [encode_traces(lane_traces) for lane_traces in traces]
 
 
 class _Recorder:
@@ -618,23 +613,21 @@ def _roll_continuous(runner_cls, policies, slots, victim):
 class TestFrozenFleetReference:
     """The array runner against the frozen per-lane-object runner.
 
-    Every lane's ``encode_traces`` bytes and every fleet's
-    ``FleetEstimator`` output must be identical, for all seven Tbl. 1
-    systems and a fleet mixing them, chained 5-task jobs, a 40-frame
+    Every lane's ``encode_traces`` bytes must be identical, for all seven
+    Tbl. 1 systems and a fleet mixing them, chained 5-task jobs, a 40-frame
     budget, closed-loop feedback and fleet sizes 1, 7 and 32; and
-    ``run_continuous`` must retire, cancel and refill identically.
+    ``run_continuous`` must retire, cancel and refill identically.  The
+    bytes include each episode's ``executed_steps``, of which a lane's
+    latency/energy estimate is a pure function.
     """
 
     @pytest.mark.parametrize("fleet_size", [1, 7, 32])
     @pytest.mark.parametrize("system", [*SYSTEMS, "mixed"])
     def test_run_matches_frozen_runner(self, tiny_policies, system, fleet_size):
-        traces, estimates = _roll(FleetRunner, FleetEstimator, tiny_policies, system, fleet_size)
-        frozen_traces, frozen_estimates = _roll(
-            FrozenFleetRunner, FrozenEstimator, tiny_policies, system, fleet_size
-        )
+        traces = _roll(FleetRunner, tiny_policies, system, fleet_size)
+        frozen_traces = _roll(FrozenFleetRunner, tiny_policies, system, fleet_size)
         for lane, (got, want) in enumerate(zip(traces, frozen_traces, strict=True)):
             assert got == want, f"{system} lane {lane}: traces differ from the frozen runner"
-        assert estimates == frozen_estimates
 
     def test_jobs_chain_and_end_mid_trajectory(self, tiny_policies):
         """The reference jobs exercise what the bookkeeping must get right:

@@ -9,6 +9,9 @@ things are pinned per figure:
   and the frozen reference executors have not drifted), and
 * the lane-batched path reproduces the same bytes byte-for-byte.
 
+Fig. 15's scalar path is :func:`scalar_threshold_sweep`, a reference these
+tests own: the program sweeps thresholds through the lane kernels only.
+
 Regenerate after an *intentional* modelling change with::
 
     PYTHONPATH=src python tests/test_golden_figures.py
@@ -19,10 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.calibration import threshold_sweep
+from repro.accelerator import CorkiAccelerator
+from repro.analysis.calibration import (
+    ThresholdPoint,
+    sample_trajectory,
+    threshold_sweep,
+    track_trajectory,
+)
 from repro.experiments.fig13_latency_energy import system_lanes
 from repro.experiments.fig14_frame_analysis import frame_lanes
 from repro.pipeline import simulate_baseline, simulate_corki, simulate_lanes
+from repro.robot import panda
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -60,8 +70,49 @@ def scalar_figure(lanes) -> dict:
     return golden
 
 
+def scalar_threshold_sweep(
+    thresholds: list[float],
+    trajectories: int,
+    seed: int = 3,
+    control_hz: float = 100.0,
+    physics_hz: float = 500.0,
+) -> list[ThresholdPoint]:
+    """:func:`threshold_sweep` as a scalar loop: one :func:`track_trajectory`
+    per sampled trajectory and threshold."""
+    model = panda()
+    rng = np.random.default_rng(seed)
+    samples = [sample_trajectory(model, rng) for _ in range(trajectories)]
+    points = []
+    reference_cycles: float | None = None
+    for threshold in thresholds:
+        cycle_counts: list[int] = []
+        errors = []
+        skip_rates = []
+        for trajectory in samples:
+            accelerator = CorkiAccelerator(model, threshold=threshold)
+            report = track_trajectory(
+                model, trajectory, control_hz=control_hz, physics_hz=physics_hz,
+                accelerator=accelerator,
+            )
+            cycle_counts.extend(accelerator.cycle_log)
+            errors.append(report.rmse_m)
+            skip_rates.append(accelerator.skip_rate)
+        mean_cycles = float(np.mean(cycle_counts))
+        if reference_cycles is None:
+            reference_cycles = mean_cycles
+        points.append(
+            ThresholdPoint(
+                threshold=threshold,
+                speedup=reference_cycles / mean_cycles,
+                trajectory_error_cm=float(np.mean(errors)) * 100.0,
+                skip_rate=float(np.mean(skip_rates)),
+            )
+        )
+    return points
+
+
 def compute_goldens() -> dict[str, dict]:
-    fig15 = threshold_sweep(batched=False, **FIG15_KWARGS)
+    fig15 = scalar_threshold_sweep(**FIG15_KWARGS)
     return {
         "fig13": scalar_figure(system_lanes(FIG13_FRAMES, ADAP_STEPS)),
         "fig14": scalar_figure(frame_lanes(ADAP_STEPS)),
@@ -124,7 +175,7 @@ class TestFig15Golden:
                 assert getattr(point, field) == float.fromhex(frozen), field
 
     def test_scalar_sweep_matches_golden(self):
-        self.assert_points_match(threshold_sweep(batched=False, **FIG15_KWARGS))
+        self.assert_points_match(scalar_threshold_sweep(**FIG15_KWARGS))
 
     def test_batched_sweep_matches_golden(self):
         self.assert_points_match(threshold_sweep(**FIG15_KWARGS))

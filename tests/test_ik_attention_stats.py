@@ -1,4 +1,4 @@
-"""Tests for the IK solver, the transformer VLM and the statistics helpers."""
+"""Tests for the IK solver and the statistics helpers."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.statistics import bootstrap_mean_ci, paired_bootstrap_difference
-from repro.nn import Tensor
-from repro.nn.attention import MultiHeadSelfAttention, TransformerVLM
 from repro.robot import end_effector_pose, forward_kinematics, panda
 from repro.robot.ik import solve_ik, trajectory_to_joint_path
 
@@ -51,75 +49,6 @@ class TestInverseKinematics:
         assert converged
         # Consecutive solutions stay on one branch: small joint steps.
         assert np.abs(np.diff(path, axis=0)).max() < 0.2
-
-
-class TestAttention:
-    def test_output_shape(self, rng):
-        attention = MultiHeadSelfAttention(dim=16, heads=4, rng=rng)
-        x = Tensor(rng.normal(size=(5, 16)))
-        assert attention(x).shape == (5, 16)
-
-    def test_rejects_bad_head_split(self, rng):
-        with pytest.raises(ValueError):
-            MultiHeadSelfAttention(dim=10, heads=4, rng=rng)
-
-    def test_gradients_flow_through_attention(self, rng):
-        attention = MultiHeadSelfAttention(dim=8, heads=2, rng=rng)
-        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        attention(x).sum().backward()
-        assert x.grad is not None
-        assert np.any(x.grad != 0)
-
-    def test_attention_gradcheck(self, rng):
-        attention = MultiHeadSelfAttention(dim=4, heads=2, rng=rng)
-        x0 = rng.normal(size=(3, 4))
-
-        def fn(x):
-            return (attention(x) * attention(x)).sum()
-
-        x = Tensor(x0.copy(), requires_grad=True)
-        fn(x).backward()
-        analytic = x.grad.copy()
-        eps = 1e-6
-        numeric = np.zeros_like(x0)
-        for i in range(x0.size):
-            plus, minus = x0.copy().ravel(), x0.copy().ravel()
-            plus[i] += eps
-            minus[i] -= eps
-            numeric.ravel()[i] = (
-                fn(Tensor(plus.reshape(x0.shape))).item()
-                - fn(Tensor(minus.reshape(x0.shape))).item()
-            ) / (2 * eps)
-        assert np.allclose(analytic, numeric, atol=1e-5)
-
-    def test_transformer_vlm_token(self, rng):
-        vlm = TransformerVLM(observation_dim=48, num_instructions=5, token_dim=16, rng=rng)
-        token = vlm(rng.normal(size=48), 2)
-        assert token.shape == (16,)
-
-    def test_transformer_vlm_instruction_sensitivity(self, rng):
-        vlm = TransformerVLM(observation_dim=48, num_instructions=5, token_dim=16, rng=rng)
-        obs = rng.normal(size=48)
-        assert not np.allclose(vlm(obs, 0).numpy(), vlm(obs, 4).numpy())
-
-    def test_transformer_vlm_trains(self, rng):
-        from repro.nn import Adam, mse_loss
-
-        vlm = TransformerVLM(observation_dim=16, num_instructions=2, token_dim=8, rng=rng, num_patches=4, depth=1)
-        optimizer = Adam(vlm.parameters(), lr=0.01)
-        obs = rng.normal(size=(8, 16))
-        targets = rng.normal(size=(8, 8))
-        losses = []
-        for _ in range(40):
-            loss = None
-            for row in range(8):
-                sample_loss = mse_loss(vlm(obs[row], row % 2), targets[row])
-                loss = sample_loss if loss is None else loss + sample_loss
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        assert losses[-1] < 0.5 * losses[0]
 
 
 class TestStatistics:

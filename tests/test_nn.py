@@ -19,12 +19,9 @@ from repro.nn import (
     Tensor,
     bce_with_logits,
     clip_gradients,
-    concat,
     load_state_dict,
     mse_loss,
     no_grad,
-    softmax,
-    stack,
     state_dict,
 )
 
@@ -97,16 +94,6 @@ class TestAutogradCore:
 
         assert np.allclose(analytic_gradient(fn, x0), numeric_gradient(fn, x0), atol=1e-6)
 
-    def test_concat_and_stack_gradients(self, rng):
-        x0 = rng.normal(size=(2, 3))
-
-        def fn(x):
-            pieces = concat([x, x * 2.0], axis=1)
-            piled = stack([x, x * 3.0], axis=0)
-            return pieces.sum() + piled.sum()
-
-        assert np.allclose(analytic_gradient(fn, x0), numeric_gradient(fn, x0), atol=1e-6)
-
     def test_shared_subexpression_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * 3.0
@@ -165,10 +152,6 @@ class TestLosses:
             return bce_with_logits(x, targets)
 
         assert np.allclose(analytic_gradient(fn, logits0), numeric_gradient(fn, logits0), atol=1e-6)
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        out = softmax(Tensor(rng.normal(size=(4, 5)))).numpy()
-        assert np.allclose(out.sum(axis=-1), np.ones(4))
 
 
 class TestLayers:
@@ -354,47 +337,3 @@ class TestInferFastPath:
                     vlm(windowed, instructions).numpy(), vlm.infer(windowed, instructions)
                 )
                 assert np.array_equal(vit(flat).numpy(), vit.infer(flat))
-
-
-class TestSwapaxes:
-    def test_forward_matches_numpy(self, rng):
-        from repro.nn.tensor import Tensor
-
-        x = rng.normal(size=(3, 4, 5))
-        assert np.array_equal(
-            Tensor(x).swapaxes(-1, -2).numpy(), np.swapaxes(x, -1, -2)
-        )
-
-    def test_gradient_swaps_back(self, rng):
-        from repro.nn.tensor import Tensor
-
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        weights = rng.normal(size=(2, 4, 3))
-        (x.swapaxes(-1, -2) * Tensor(weights)).sum().backward()
-        assert np.array_equal(x.grad, np.swapaxes(weights, -1, -2))
-
-    def test_attention_uses_single_node_transpose(self, rng):
-        """TransformerVLM's attention trains through swapaxes (gradcheck)."""
-        from repro.nn.attention import MultiHeadSelfAttention
-        from repro.nn.tensor import Tensor
-
-        attention = MultiHeadSelfAttention(dim=4, heads=2, rng=rng)
-        x0 = rng.normal(size=(2, 3, 4))  # batched rank-3 input
-
-        def fn(x):
-            return (attention(x) * attention(x)).sum()
-
-        x = Tensor(x0.copy(), requires_grad=True)
-        fn(x).backward()
-        analytic = x.grad.copy()
-        eps = 1e-6
-        numeric = np.zeros_like(x0)
-        for i in range(x0.size):
-            plus, minus = x0.copy().ravel(), x0.copy().ravel()
-            plus[i] += eps
-            minus[i] -= eps
-            numeric.ravel()[i] = (
-                fn(Tensor(plus.reshape(x0.shape))).item()
-                - fn(Tensor(minus.reshape(x0.shape))).item()
-            ) / (2 * eps)
-        assert np.allclose(analytic, numeric, atol=1e-5)

@@ -67,12 +67,14 @@ class TestBaselinePolicy:
     def test_predict_returns_physical_delta(self, rng):
         policy = BaselinePolicy(OBSERVATION_DIM, len(TASKS), rng, token_dim=16, hidden_dim=24)
         policy.set_normalizer(ActionNormalizer(np.full(6, 0.01)))
-        delta, gripper_open = policy.predict(
-            rng.normal(size=(WINDOW_LENGTH, OBSERVATION_DIM)), 0
-        )
-        assert delta.shape == (6,)
-        assert isinstance(gripper_open, bool)
-        assert np.all(np.abs(delta) < 0.1)  # normalised outputs x 1 cm scale
+        window = rng.normal(size=(WINDOW_LENGTH, OBSERVATION_DIM))
+        tokens = policy.encode_frame_token_batch(window, np.zeros(WINDOW_LENGTH, dtype=int))
+        # The VLM mixes no frames: one frame at a time equals the whole window.
+        assert np.array_equal(tokens, policy.vlm.infer(window[None], np.zeros(1, dtype=int))[0])
+        deltas, grippers_open = policy.predict_token_batch(tokens[None])
+        assert deltas.shape == (1, 6)
+        assert grippers_open.shape == (1,) and grippers_open.dtype == bool
+        assert np.all(np.abs(deltas) < 0.1)  # normalised outputs x 1 cm scale
 
     def test_dataset_construction(self, small_demos):
         normalizer = ActionNormalizer.fit(small_demos)

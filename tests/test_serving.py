@@ -176,6 +176,17 @@ class TestResultCacheStore:
         assert cache.get("k") is None
         assert cache.corrupt == 1
 
+    def test_reads_keep_no_per_key_state_without_a_fault_plan(self):
+        """Read counts exist for a fault plan's draws; an unarmed long-lived
+        cache must not grow one entry per key it has ever served."""
+        cache = ResultCache(max_entries=2)
+        for index in range(50):
+            key = f"k{index}"
+            cache.put(key, [])
+            assert cache.get(key) == []
+        assert cache.hits == 50 and len(cache) == 2
+        assert cache._reads == {}
+
 
 # -- cache threading through evaluate_system -----------------------------------
 
