@@ -25,7 +25,7 @@ import numpy as np
 from repro.analysis.metrics import JobStatistics, TrajectoryMetrics, job_statistics, trajectory_metrics
 from repro.atomicio import atomic_save
 from repro.core.config import VARIATIONS, CorkiVariation
-from repro.core.fleet import FleetLane, FleetRunner
+from repro.core.fleet import DEFAULT_FLEET_SIZE, FleetLane, FleetRunner
 from repro.core.policy import BaselinePolicy, CorkiPolicy
 from repro.core.runner import MAX_EPISODE_FRAMES, EpisodeTrace
 from repro.core.training import TrainingConfig, train_baseline, train_corki
@@ -59,10 +59,6 @@ __all__ = [
     "expert_oracle_families",
     "oracle_episode_outcome",
 ]
-
-DEFAULT_FLEET_SIZE = 32
-"""Jobs advanced in lock-step per fleet; larger fleets amortise inference
-further but see diminishing returns once the per-lane env stepping dominates."""
 
 _CACHE_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "artifacts")
 

@@ -25,6 +25,10 @@ counterpart of :class:`repro.sim.objects.SceneArrays`), so a tick touches
 per-lane Python only where lanes really diverge: episode start and end, the
 lane-private feedback-step draws and the task success predicates.
 
+The runner counts its work in :attr:`FleetRunner.counters` (ticks,
+lane-frames, admissions, policy calls and rows): integer increments, no
+clock reads, never an input to a result.
+
 Each lane owns its random generators, and the batched policy entry points
 pad singleton batches (see ``repro.core.policy._pad_singleton``), so a
 lane's episode is element-wise identical to the one the single-episode
@@ -68,7 +72,31 @@ from repro.sim.env import (
 )
 from repro.sim.tasks import Task
 
-__all__ = ["FleetLane", "FleetRunner", "LaneArrays", "run_baseline_fleet", "run_corki_fleet"]
+__all__ = [
+    "DEFAULT_FLEET_SIZE",
+    "FleetCounters",
+    "FleetLane",
+    "FleetRunner",
+    "LaneArrays",
+    "run_baseline_fleet",
+    "run_corki_fleet",
+]
+
+DEFAULT_FLEET_SIZE = 128
+"""Lanes one fleet advances in lock-step unless a caller bounds it: the
+default evaluation ``fleet_size``, the experiment profiles' ``fleet_size``
+and the serving tier's ``slots``.
+
+A tick pays its two 12-step LSTM recurrences and its sim kernels once for
+every lane it carries, so the cost per lane-frame falls with fleet size.
+Measured on ``FleetRunner.run`` (single-task lanes, 150-frame budget, one
+BLAS thread, 2-vCPU host), a 50/50 roboflamingo/corki-5 fleet cost 1,108
+microseconds per lane-frame at 2 lanes, 295 at 8, 192 at 32, 152 at 64 and
+110 at 128.  Under serve-open's overload, a server with 128 slots answered
+a median 74.1 requests/s against 59.0 with 32 (nine seeds, every pair won)
+for 7% more peak memory, and an uncapped one (4,096) answered no more, while
+one burst then sizes every per-tick array (``docs/performance.md``, *Fleet
+capacity*).  Results do not depend on it (lanes are fleet-size invariant)."""
 
 _WINDOW_OFFSETS = np.arange(1 - WINDOW_LENGTH, 1)
 """A Corki window's frames relative to the current one, oldest first."""
@@ -106,6 +134,32 @@ class FleetLane:
             raise ValueError("a lane needs at least one task")
         if self.variation is not None and self.variation.closed_loop and self.rng is None:
             raise ValueError("closed-loop Corki lanes need a lane-private rng")
+
+
+@dataclass
+class FleetCounters:
+    """The work a runner has done, as integer counts.
+
+    ``ticks`` counts fleet ticks, ``lane_frames`` the camera frames its
+    lanes stepped (so ``lane_frames / ticks`` is the mean lanes per tick)
+    and ``admissions`` the lanes admitted into a slot.  Each policy head's
+    ``*_calls`` counts its batched calls and ``*_rows`` the lanes they
+    carried (so rows over calls is its mean batch): ``baseline`` is the
+    baseline's token encode plus LSTM heads, ``traj`` a Corki plan (window
+    encode plus trajectory head) and ``vit`` a Corki feedback-frame encode.
+    Counting is integer increments only: no clock reads, and nothing a lane
+    computes reads it.
+    """
+
+    ticks: int = 0
+    lane_frames: int = 0
+    admissions: int = 0
+    baseline_calls: int = 0
+    baseline_rows: int = 0
+    traj_calls: int = 0
+    traj_rows: int = 0
+    vit_calls: int = 0
+    vit_rows: int = 0
 
 
 class LaneArrays:
@@ -306,7 +360,8 @@ class FleetRunner:
     needs only one of them; mixed fleets are supported) and call
     :meth:`run`.  The runner owns no randomness -- environments and lanes
     carry their own generators -- so results are a pure function of the
-    lane specifications.
+    lane specifications.  :attr:`counters` accumulates the runner's work
+    (:class:`FleetCounters`) over every call.
     """
 
     def __init__(
@@ -316,6 +371,7 @@ class FleetRunner:
     ):
         self.baseline = baseline
         self.corki = corki
+        self.counters = FleetCounters()
 
     def _admit(self, store: LaneArrays, slot: int, lane: FleetLane) -> None:
         """Admit one lane into slot ``slot``: reset its env and its row."""
@@ -325,6 +381,7 @@ class FleetRunner:
         elif self.corki is None:
             raise ValueError("fleet has Corki lanes but no Corki policy")
         store.admit(slot, lane)
+        self.counters.admissions += 1
 
     def run(
         self,
@@ -436,6 +493,7 @@ class FleetRunner:
         return served
 
     def _tick(self, store: LaneArrays) -> None:
+        self.counters.ticks += 1
         self._plan_corki_lanes(store)
         self._infer_baseline_lanes(store)
         self._step_lanes(store)
@@ -456,6 +514,8 @@ class FleetRunner:
         plans = self.corki.predict_trajectory_batch(
             store.corki_windows(planners), origins, store.fleet.frame_dt
         )
+        self.counters.traj_calls += 1
+        self.counters.traj_rows += planners.size
         store.origin[planners] = plans.origins
         store.coefficients[planners] = plans.coefficients
         store.duration[planners] = plans.duration
@@ -493,6 +553,8 @@ class FleetRunner:
         deltas, grippers = self.baseline.predict_token_batch(
             store.push_ring_tokens(slots, tokens)
         )
+        self.counters.baseline_calls += 1
+        self.counters.baseline_rows += slots.size
         poses, _ = store.fleet.arm_states(slots)
         store.command[slots] = poses + deltas
         store.command_open[slots] = grippers
@@ -531,6 +593,7 @@ class FleetRunner:
             slots,
         )
         succeeded = fleet.succeeded_mask(slots)
+        self.counters.lane_frames += slots.size
 
         frame = store.frame[slots] + 1
         store.frame[slots] = frame
@@ -557,6 +620,8 @@ class FleetRunner:
             return
         assert self.corki is not None
         tokens = self.corki.encode_feedback_token_batch(observations[captured])
+        self.counters.vit_calls += 1
+        self.counters.vit_rows += int(np.count_nonzero(captured))
         store.insert_tokens(slots[captured], frame[captured], tokens, inference=False)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.core.fleet import DEFAULT_FLEET_SIZE
+
 __all__ = ["Profile", "QUICK", "FULL", "get_profile"]
 
 
@@ -27,7 +29,7 @@ class Profile:
     threshold_points: tuple[float, ...]  # Fig. 15 sweep
     sweep_trajectories: int
     eval_seed: int = 1234
-    fleet_size: int = 32  # jobs rolled out in lock-step per evaluation fleet
+    fleet_size: int = DEFAULT_FLEET_SIZE  # jobs rolled out in lock-step per evaluation fleet
     family_episodes: int = 2  # episodes per task in the per-family matrix
     workers: int = 1  # OS processes sharding each evaluation (1 = in-process)
     # Directory of the content-addressed result cache (repro.serving.cache);

@@ -36,6 +36,8 @@ import argparse
 import asyncio
 import sys
 
+from repro.core.fleet import DEFAULT_FLEET_SIZE
+
 __all__ = ["main"]
 
 
@@ -52,8 +54,9 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
              "(1 = in-process continuous batching)",
     )
     parser.add_argument(
-        "--slots", type=int, default=32, metavar="N",
-        help="in-flight lanes for the in-process continuous-batching path",
+        "--slots", type=int, default=DEFAULT_FLEET_SIZE, metavar="N",
+        help="in-flight lanes for the in-process continuous-batching path "
+             f"(default {DEFAULT_FLEET_SIZE})",
     )
     parser.add_argument(
         "--tcp", default=None, metavar="HOST:PORT",

@@ -20,6 +20,7 @@ request identity and the traces, so cached and fresh responses carry
 identical estimates.
 
 ``seed``, ``lane``, ``max_frames`` and ``priority`` must be JSON integers
+(``max_frames`` at most :data:`~repro.serving.service.MAX_REQUEST_FRAMES`)
 and ``deadline_ms`` a finite number >= 0; a bad value, a malformed line or
 an unknown instruction answers ``{"status": "error", "error": ...}`` (with
 the request's ``id`` when one parsed) without disturbing the rest of the
@@ -69,12 +70,21 @@ def request_from_json(obj: dict) -> EpisodeRequest:
         if (
             not isinstance(deadline, (int, float))
             or isinstance(deadline, bool)
-            or not math.isfinite(deadline)
+            or not _finite(deadline)
             or deadline < 0
         ):
             raise ValueError(f"'deadline_ms' must be a finite number >= 0, got {deadline!r}")
         kwargs["deadline_ms"] = float(deadline)
     return EpisodeRequest(system=obj["system"], instructions=instructions, **kwargs)
+
+
+def _finite(number: int | float) -> bool:
+    """``math.isfinite``, false for an integer too large for a float (JSON
+    integers are unbounded; ``math.isfinite(10**400)`` raises)."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def response_to_json(result, request_id=None) -> dict:

@@ -64,6 +64,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.fleet import DEFAULT_FLEET_SIZE
 from repro.serving.cache import ResultCache, policy_digest
 from repro.serving.jsonl import request_from_json, response_to_json
 from repro.serving.service import EpisodeRequest, EvaluationService
@@ -193,7 +194,7 @@ class EvaluationServer:
         port: int = 0,
         *,
         workers: int = 1,
-        slots: int = 32,
+        slots: int = DEFAULT_FLEET_SIZE,
         cache: ResultCache | None = None,
         use_cache: bool = True,
         max_pending: int | None = None,

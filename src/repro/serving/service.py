@@ -48,11 +48,11 @@ from __future__ import annotations
 import logging
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.core.config import VARIATIONS
-from repro.core.fleet import FleetLane, FleetRunner
+from repro.core.fleet import DEFAULT_FLEET_SIZE, FleetLane, FleetRunner
 from repro.core.runner import MAX_EPISODE_FRAMES, EpisodeTrace
 from repro.pipeline.estimate import PipelineEstimate, estimate_from_steps
 from repro.reliability.faults import FaultPlan
@@ -60,9 +60,26 @@ from repro.reliability.health import HealthCounters, PoolUnhealthy
 from repro.reliability.retry import RetryPolicy
 from repro.serving.cache import ResultCache
 
-__all__ = ["EpisodeRequest", "ServedResult", "EvaluationService", "estimate_for_request"]
+__all__ = [
+    "EpisodeRequest",
+    "MAX_REQUEST_FRAMES",
+    "ServedResult",
+    "EvaluationService",
+    "estimate_for_request",
+]
 
 logger = logging.getLogger("repro.serving")
+
+MAX_REQUEST_FRAMES = 10 * MAX_EPISODE_FRAMES
+"""The largest ``max_frames`` a request may ask for: 1,500 frames, ten times
+the evaluation budget, or 50 s of robot time at the 30 Hz camera rate.
+
+Every slot of the in-process engine keeps path buffers as long as the
+longest admitted frame budget (``LaneArrays.reserve``: 57 bytes per frame per
+slot), so one request's budget sizes the memory of its whole drain.  At the
+default 128 slots this ceiling costs about 11 MB; an unbounded budget let
+one ``max_frames`` of ``10**9`` ask for 89 GiB and fail every request
+drained with it."""
 
 
 @dataclass(frozen=True)
@@ -116,8 +133,10 @@ class EpisodeRequest:
         # mid-drain (possibly inside a pool worker) and dropping the batch.
         if self.seed < 0 or self.lane < 0:
             raise ValueError(f"seed and lane must be >= 0, got {self.seed}/{self.lane}")
-        if self.max_frames < 1:
-            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
+        if not 1 <= self.max_frames <= MAX_REQUEST_FRAMES:
+            raise ValueError(
+                f"max_frames must be in 1..{MAX_REQUEST_FRAMES}, got {self.max_frames}"
+            )
         if not isinstance(self.priority, int) or isinstance(self.priority, bool):
             raise ValueError(f"priority must be an int, got {self.priority!r}")
 
@@ -201,8 +220,9 @@ class EvaluationService:
 
     ``use_cache=False`` disables caching; otherwise ``cache`` (default: a
     fresh in-memory cache) serves repeats.  ``slots`` bounds in-flight
-    lanes for the in-process path; pool workers roll their chunks at the
-    evaluation default, ``DEFAULT_FLEET_SIZE``.
+    lanes for the in-process path (default
+    :data:`~repro.core.fleet.DEFAULT_FLEET_SIZE`); pool workers roll their
+    chunks in fleets of that default size.
 
     Reliability knobs: ``retry`` / ``chunk_timeout`` govern pooled-dispatch
     crash recovery; ``fault_plan`` injects deterministic failures for chaos
@@ -218,7 +238,7 @@ class EvaluationService:
         self,
         policies,
         workers: int = 1,
-        slots: int = 32,
+        slots: int = DEFAULT_FLEET_SIZE,
         cache: ResultCache | None = None,
         use_cache: bool = True,
         retry: RetryPolicy | None = None,
@@ -369,14 +389,19 @@ class EvaluationService:
         return [results[index] for index in range(len(admissions))]
 
     def stats(self) -> dict[str, int]:
-        """Service + reliability counters plus the cache's.
+        """Service, reliability and work counters plus the cache's.
 
         ``timeouts`` / ``degradations`` are the service's own; ``retries`` /
         ``respawns`` / ``faults_injected`` come from the leased pool (zeros
-        in-process).  Cache counters ride along when caching is on.
+        in-process).  ``slots`` and the ``fleet_*`` counters describe the
+        in-process engine's work since the service started, one per
+        :class:`~repro.core.fleet.FleetCounters` field (pooled rolls happen
+        in the workers and are not counted here).  Cache counters ride
+        along when caching is on.
         """
         cache_stats = self.cache.stats() if self.cache is not None else {}
         pool_health = self._pool.health if self._pool is not None else HealthCounters()
+        work = {f"fleet_{name}": count for name, count in asdict(self._runner.counters).items()}
         return {
             "requests_served": self.requests_served,
             "workers": self.workers,
@@ -385,6 +410,8 @@ class EvaluationService:
             "retries": pool_health.retries,
             "respawns": pool_health.respawns,
             "faults_injected": pool_health.faults_injected,
+            "slots": self.slots,
+            **work,
             **cache_stats,
         }
 
@@ -499,7 +526,6 @@ class EvaluationService:
         logged and counted in ``stats()``, and byte-identical because both
         engines key lane randomness the same way.
         """
-        from repro.analysis.evaluation import DEFAULT_FLEET_SIZE
         from repro.analysis.parallel import LaneChunk, shard_lanes
 
         live: list[tuple[int, _Admission, str | None]] = []

@@ -151,16 +151,17 @@ def render_rows(
 ) -> np.ndarray:
     """Render one frame per selected lane, stacked as ``(len(lanes), obs)``.
 
-    The feature assembly, bias/shift adds, tanh response and sensor noise are
-    all vectorised or drawn per lane in lane order; the fixed projection stays
-    a per-lane matvec because BLAS's GEMV and GEMM kernels round differently,
-    and fleet observations must be bitwise the scalar ``render`` output.
+    The feature assembly, projection, bias/shift adds and tanh response are
+    vectorised; sensor noise is drawn per lane in lane order.  The fixed
+    projection is one stacked matvec, ``(obs, raw) @ (lanes, raw, 1)``:
+    numpy hands each lane's column to the same BLAS GEMV call the scalar
+    ``_WEIGHTS @ raw`` makes (one GEMM over all lanes would round
+    differently), so fleet observations are bitwise the scalar ``render``
+    output.
     """
     raw = raw_feature_rows(arrays, lanes)
     gained = FEATURE_GAINS * raw
-    pixels = np.empty((len(lanes), OBSERVATION_DIM))
-    for k in range(len(lanes)):
-        pixels[k] = _WEIGHTS @ gained[k]
+    pixels = np.matmul(_WEIGHTS, gained[:, :, None])[..., 0]
     shifts = np.array([camera.domain_shift for camera in cameras])
     pixels = np.tanh((pixels + _BIAS) + shifts[:, None] * _SHIFT)
     for k, (camera, rng) in enumerate(zip(cameras, rngs)):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_figures import scalar_threshold_sweep
 
+import repro.sim.camera as camera
 from repro.accelerator import AcceleratorLanes, CorkiAccelerator
 from repro.analysis.calibration import (
     sample_trajectory,
@@ -51,6 +52,7 @@ from repro.robot import (
 )
 from repro.robot.control import TaskSpaceReference
 from repro.robot.integrators import JointState
+from repro.sim import CameraModel, SceneArrays
 
 FLEET_SIZES = (1, 2, 7, 32)
 
@@ -474,3 +476,57 @@ class TestAlgorithm1Lanes:
         assert sum(len(starts) for starts, *_ in calls) > 100
         for case in calls:
             assert_algorithm1_lanes_match(*case)
+
+
+# -- the camera projection -----------------------------------------------------
+
+
+def render_rows_loop(arrays, lanes, cameras, rngs):
+    """``render_rows`` with its projection as the per-lane matvec loop."""
+    gained = camera.FEATURE_GAINS * camera.raw_feature_rows(arrays, lanes)
+    pixels = np.empty((len(lanes), camera.OBSERVATION_DIM))
+    for k in range(len(lanes)):
+        pixels[k] = camera._WEIGHTS @ gained[k]
+    shifts = np.array([model.domain_shift for model in cameras])
+    pixels = np.tanh((pixels + camera._BIAS) + shifts[:, None] * camera._SHIFT)
+    for k, (model, rng) in enumerate(zip(cameras, rngs)):
+        if model.noise_std > 0.0:
+            pixels[k] += rng.normal(0.0, model.noise_std, size=camera.OBSERVATION_DIM)
+    return pixels
+
+
+def random_store(rng, lanes: int) -> SceneArrays:
+    """A store whose every camera-read field holds random values of mixed
+    magnitude, so the projection's roundings are exercised."""
+    arrays = SceneArrays(lanes)
+    for name in ("ee_pose", "block_position", "block_yaw", "drawer_opening",
+                 "switch_level", "switch_on_threshold", "zone_left", "zone_right",
+                 "button_position"):
+        field = getattr(arrays, name)
+        scale = rng.choice([1e-3, 0.3, 5.0], size=(lanes,) + (1,) * (field.ndim - 1))
+        field[...] = rng.normal(0.0, 1.0, field.shape) * scale
+    arrays.gripper_open[:] = rng.random(lanes) < 0.5
+    arrays.led_on[:] = rng.random(lanes) < 0.5
+    return arrays
+
+
+class TestRenderRows:
+    def test_stacked_projection_matches_per_lane_loop(self):
+        """The stacked matvec projects every lane as the per-lane loop did,
+        byte for byte, at 1-69, 128 and 224 lanes in shuffled lane order."""
+        for lanes in [*range(1, 70), 128, 224]:
+            for draw in range(3 if lanes < 70 else 20):
+                rng = np.random.default_rng([lanes, draw])
+                arrays = random_store(rng, lanes)
+                selected = rng.permutation(lanes)
+                cameras = [
+                    CameraModel(noise_std=float(rng.choice([0.0, 0.01])),
+                                domain_shift=float(rng.choice([0.0, 0.35])))
+                    for _ in range(lanes)
+                ]
+                seeds = rng.integers(0, 2**31, size=lanes)
+                got = camera.render_rows(arrays, selected, cameras,
+                                         [np.random.default_rng(s) for s in seeds])
+                want = render_rows_loop(arrays, selected, cameras,
+                                        [np.random.default_rng(s) for s in seeds])
+                assert got.tobytes() == want.tobytes(), (lanes, draw)

@@ -673,3 +673,40 @@ class TestFrozenFleetReference:
             for lane in range(lanes)
         ]
         assert steps.tolist() == frozen
+
+
+class TestWorkCounters:
+    """``FleetRunner.counters`` counts work exactly: ticks, lane-frames,
+    admissions, and each policy head's calls and rows."""
+
+    def test_counts_match_the_traces(self, tiny_policies):
+        baseline, corki, _ = tiny_policies
+        admissions = _admissions("mixed")
+        runner = FleetRunner(baseline=baseline, corki=corki)
+        traces = runner.run([env for env, _ in admissions], [lane for _, lane in admissions])
+        counters = runner.counters
+        frames = [sum(trace.frames for trace in lane) for lane in traces]
+        corki_lanes = [lane for (_, spec), lane in zip(admissions, traces) if spec.variation]
+        baseline_frames = sum(
+            sum(trace.frames for trace in lane)
+            for (_, spec), lane in zip(admissions, traces)
+            if spec.variation is None
+        )
+        plans = sum(len(trace.executed_steps) for lane in corki_lanes for trace in lane)
+        assert counters.admissions == REFERENCE_LANES
+        assert counters.lane_frames == sum(frames)
+        assert counters.ticks == max(frames)
+        assert counters.baseline_rows == baseline_frames
+        assert counters.baseline_calls <= counters.ticks
+        assert counters.traj_rows == plans
+        assert counters.traj_calls <= counters.ticks
+        assert 0 < counters.vit_rows <= plans
+        assert counters.vit_calls <= counters.ticks
+
+    def test_counters_accumulate_across_calls(self, tiny_policies):
+        _, corki, _ = tiny_policies
+        runner = FleetRunner(corki=corki)
+        for _ in range(2):
+            admissions = _admissions("corki-5")[:3]
+            runner.run([env for env, _ in admissions], [lane for _, lane in admissions])
+        assert runner.counters.admissions == 6

@@ -376,6 +376,24 @@ class TestMalformedFrames:
                 assert client.stats()["connections"] == 2
 
 
+class TestFrameBudgetCeiling:
+    @pytest.mark.parametrize("transport", ["stdio", "tcp"])
+    def test_overlong_budget_fails_alone(self, trained, transport):
+        """A batch of [valid, ``max_frames`` 10**9] answers [ok, an error
+        naming ``max_frames``]: the long request cannot size (and so fail)
+        the drain it would have joined."""
+        frames = [quick_frame("fine", 0), quick_frame("huge", 1, max_frames=10**9)]
+        lines = served_wire(trained, transport, frames)
+        responses = {response["id"]: response for response in map(json.loads, lines)}
+        assert responses["huge"]["status"] == "error"
+        assert "max_frames" in responses["huge"]["error"]
+        with EvaluationService(trained, workers=1, use_cache=False) as service:
+            (result,) = service.serve([request_from_json(
+                {k: v for k, v in frames[0].items() if k != "id"}
+            )])
+        assert expected_line(result, "fine") in lines
+
+
 # -- fault injection -----------------------------------------------------------
 
 
@@ -437,6 +455,33 @@ class TestStatsOp:
         assert stats["requests_served"] == 1
         assert stats["batches"] == 1
         assert stats["policy"] == policy_digest(trained)
+
+
+    def test_polling_stats_between_frames_leaves_answers_unchanged(self, trained):
+        """The same requests give the same wire bytes whether or not the
+        client polls stats between them; the work counters only grow."""
+        frames = [quick_frame(f"p{lane}", lane) for lane in range(4)]
+
+        def serve(poll: bool):
+            answers, polls = [], []
+            with start_server_thread(trained) as handle:
+                with ServingClient(handle.host, handle.port) as client:
+                    for frame in frames:
+                        client.send(frame)
+                        client.flush()
+                        answers.append(client.recv_raw())
+                        if poll:
+                            client.send({"op": "stats"})
+                            client.flush()
+                            polls.append(json.loads(client.recv_raw())["stats"])
+            return answers, polls
+
+        quiet, _ = serve(poll=False)
+        polled, polls = serve(poll=True)
+        assert polled == quiet
+        ticks = [stats["fleet_ticks"] for stats in polls]
+        assert ticks == sorted(ticks) and ticks[0] > 0
+        assert [stats["fleet_admissions"] for stats in polls] == [1, 2, 3, 4]
 
 
 # -- hot reload ----------------------------------------------------------------

@@ -11,9 +11,12 @@ and corruption behaviour, and the JSONL protocol surface.
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.evaluation import (
     JOB_LENGTH,
@@ -21,7 +24,7 @@ from repro.analysis.evaluation import (
     evaluate_system,
 )
 from repro.analysis.parallel import archive_policies, restore_policies, shutdown_pools
-from repro.core.fleet import FleetLane, FleetRunner
+from repro.core.fleet import DEFAULT_FLEET_SIZE, FleetLane, FleetRunner
 from repro.serving.cache import (
     ResultCache,
     decode_traces,
@@ -29,7 +32,9 @@ from repro.serving.cache import (
     policy_digest,
     result_key,
 )
+from repro.serving.jsonl import request_from_json
 from repro.serving.service import (
+    MAX_REQUEST_FRAMES,
     EpisodeRequest,
     EvaluationService,
     estimate_for_request,
@@ -334,6 +339,38 @@ class TestServiceInProcess:
         with pytest.raises(ValueError, match="instruction"):
             EpisodeRequest(system="corki-5", instructions=(), seed=0)
 
+    def test_rejects_frame_budgets_past_the_ceiling(self):
+        """A budget past MAX_REQUEST_FRAMES is refused at construction, so it
+        never reaches an engine (whose path buffers it would size)."""
+        EpisodeRequest(system="corki-5", instructions=("x",), seed=0,
+                       max_frames=MAX_REQUEST_FRAMES)
+        for frames in (MAX_REQUEST_FRAMES + 1, 10**9):
+            with pytest.raises(ValueError, match="max_frames"):
+                EpisodeRequest(system="corki-5", instructions=("x",), seed=0, max_frames=frames)
+
+    def test_burst_fills_more_than_32_lanes_per_tick(self, trained):
+        """64 short corki-5 misses at the default capacity tick more than 32
+        lanes at a time on average (a 32-slot fleet cannot), counted by the
+        service's work counters, not timed."""
+        requests = [
+            EpisodeRequest(system="corki-5", instructions=(TASKS[lane % len(TASKS)].instruction,),
+                           seed=5, lane=lane, max_frames=12)
+            for lane in range(64)
+        ]
+        stats = {}
+        for slots in (DEFAULT_FLEET_SIZE, 32):
+            with EvaluationService(trained, slots=slots, use_cache=False) as service:
+                service.serve(requests)
+                stats[slots] = service.stats()
+        wide, narrow = stats[DEFAULT_FLEET_SIZE], stats[32]
+        assert wide["slots"] == DEFAULT_FLEET_SIZE >= 64
+        assert wide["fleet_admissions"] == narrow["fleet_admissions"] == 64
+        assert wide["fleet_lane_frames"] == narrow["fleet_lane_frames"]
+        assert wide["fleet_lane_frames"] / wide["fleet_ticks"] > 32
+        assert narrow["fleet_lane_frames"] / narrow["fleet_ticks"] <= 32
+        assert wide["fleet_traj_rows"] / wide["fleet_traj_calls"] > 32
+        assert wide["fleet_baseline_calls"] == 0
+
     def test_rejects_negative_seed_and_lane(self):
         """A malformed-but-parseable request must fail at validation, not
         mid-drain (where it would take the whole batch down)."""
@@ -402,7 +439,60 @@ class TestServicePooled:
 # -- the JSONL surface ---------------------------------------------------------
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+"""Any JSON value (NaN and infinities included: ``json.loads`` accepts them)."""
+
+integers_near_the_edges = st.sampled_from(
+    [0, 1, -1, MAX_REQUEST_FRAMES, MAX_REQUEST_FRAMES + 1, 10**9, 2**63, -(2**63), 10**400]
+)
+_FIELDS = {
+    "system": st.sampled_from(["corki-5", "roboflamingo", "corki-adap", "nope"]),
+    "instruction": st.sampled_from([task.instruction for task in TASKS[:3]]),
+    "instructions": st.lists(st.sampled_from([task.instruction for task in TASKS[:3]]), max_size=3),
+    "seed": st.integers(),
+    "lane": st.integers(),
+    "max_frames": st.integers(),
+    "priority": st.integers(),
+    "deadline_ms": st.floats() | st.integers(),
+    "layout": st.sampled_from(["seen", "unseen", "other"]),
+}
+request_objects = st.fixed_dictionaries(
+    {},
+    optional={
+        key: strategy | integers_near_the_edges | json_values
+        for key, strategy in _FIELDS.items()
+    },
+) | st.dictionaries(st.text(max_size=8), json_values, max_size=4)
+
+
+_VALID = {"system": "corki-5", "instruction": TASKS[0].instruction, "seed": 1}
+
+
 class TestJsonlProtocol:
+    @settings(max_examples=300)
+    @given(request_objects)
+    @example({**_VALID, "max_frames": 10**9})
+    @example({**_VALID, "deadline_ms": 10**400})
+    def test_request_from_json_accepts_only_in_range_requests(self, obj):
+        """Any JSON object either raises ``ValueError``/``KeyError``/
+        ``TypeError`` (which the server answers as a per-request error) or
+        yields a request whose numeric fields are in range."""
+        obj = json.loads(json.dumps(obj))
+        try:
+            request = request_from_json(obj)
+        except (ValueError, KeyError, TypeError):
+            return
+        assert request.seed >= 0 and request.lane >= 0
+        assert 1 <= request.max_frames <= MAX_REQUEST_FRAMES
+        assert isinstance(request.priority, int) and not isinstance(request.priority, bool)
+        if request.deadline_ms is not None:
+            assert math.isfinite(request.deadline_ms) and request.deadline_ms >= 0
+
     def run_lines(self, trained, lines):
         from repro.serving.__main__ import main
 
