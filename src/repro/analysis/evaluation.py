@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -32,15 +33,8 @@ from repro.core.training import TrainingConfig, train_baseline, train_corki
 from repro.nn.serialization import load_module, save_module
 from repro.pipeline.estimate import PipelineEstimate, estimate_lanes
 from repro.sim.camera import OBSERVATION_DIM, RAW_FEATURE_DIM
-from repro.sim.dataset import ActionNormalizer, collect_demonstrations
-from repro.sim.env import (
-    PERFECT_ACTUATION,
-    TRACKING_100HZ,
-    TRACKING_30HZ,
-    BatchedManipulationEnv,
-    ManipulationEnv,
-)
-from repro.sim.expert import render_keyframes
+from repro.sim.dataset import ActionNormalizer, collect_demonstrations, roll_expert_episodes
+from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, BatchedManipulationEnv, ManipulationEnv
 from repro.sim.tasks import TASK_FAMILIES, TASKS, sample_job
 from repro.sim.world import SEEN_LAYOUT, SceneLayout
 
@@ -57,7 +51,7 @@ __all__ = [
     "evaluate_all_systems",
     "evaluate_system_families",
     "expert_oracle_families",
-    "oracle_episode_outcome",
+    "expert_oracle_outcomes",
 ]
 
 _CACHE_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "artifacts")
@@ -538,33 +532,31 @@ def evaluate_system_families(
     return cells, lane_estimates(system, lane_steps, seed)
 
 
-def oracle_episode_outcome(
-    layout: SceneLayout, index: int, episode: int, seed: int = 0
-) -> tuple[str, str, bool]:
-    """One jitter-free scripted-expert episode of registry task ``index``.
+def expert_oracle_outcomes(
+    layout: SceneLayout, pairs: Sequence[tuple[int, int]], seed: int = 0
+) -> list[tuple[str, str, bool]]:
+    """Jitter-free scripted-expert episodes, one per ``(index, episode)``.
 
-    Seeded ``[seed, 5, index, episode]`` -- keyed on the episode's identity,
+    Every pair is one lane of one :func:`roll_expert_episodes` fleet,
+    seeded ``[seed, 5, index, episode]`` -- keyed on the episode's identity,
     not on any draw order -- so any subset of the oracle sweep (e.g. one
     worker's shard) reproduces exactly the episodes the full sweep would
     run.  Domain tag 5 keeps the oracle family disjoint from the lane
     streams (tags 1/2), the jitter streams (3/4) and the fault-injection
     streams (6-10) for every seed assignment; RNG-PROVENANCE proves it.
     """
-    task = TASKS[index]
-    env = ManipulationEnv(
+    tasks = [TASKS[index] for index, _ in pairs]
+    episodes = roll_expert_episodes(
         layout,
-        np.random.default_rng([seed, 5, index, episode]),
-        actuation=PERFECT_ACTUATION,
+        tasks,
+        [np.random.default_rng([seed, 5, index, episode]) for index, episode in pairs],
+        jitter_std=None,
         camera_noise_std=0.0,
     )
-    env.reset(task)
-    assert env.scene is not None
-    trajectory = render_keyframes(
-        env.scene.ee_pose, task.expert(env.scene), env.frame_dt
-    )
-    for t in range(1, len(trajectory)):
-        env.step(trajectory.poses[t], bool(trajectory.gripper_open[t]))
-    return (task.family, task.instruction, env.succeeded)
+    return [
+        (task.family, task.instruction, episode.succeeded)
+        for task, episode in zip(tasks, episodes)
+    ]
 
 
 def expert_oracle_families(
@@ -588,10 +580,7 @@ def expert_oracle_families(
         for episode in range(episodes_per_task)
     ]
     if workers <= 1:
-        outcomes = [
-            oracle_episode_outcome(layout, index, episode, seed)
-            for index, episode in pairs
-        ]
+        outcomes = expert_oracle_outcomes(layout, pairs, seed)
     else:
         from repro.analysis.parallel import run_oracle_sharded
 

@@ -339,12 +339,9 @@ def _run_faulted_chunk(
 
 
 def _run_oracle_chunk(chunk: OracleChunk) -> list[tuple[str, str, bool]]:
-    from repro.analysis.evaluation import oracle_episode_outcome
+    from repro.analysis.evaluation import expert_oracle_outcomes
 
-    return [
-        oracle_episode_outcome(chunk.layout, index, episode, chunk.seed)
-        for index, episode in chunk.pairs
-    ]
+    return expert_oracle_outcomes(chunk.layout, chunk.pairs, chunk.seed)
 
 
 # -- parent side ---------------------------------------------------------------
