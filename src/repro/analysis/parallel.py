@@ -16,12 +16,23 @@ Design notes:
 * **Spawn, not fork.**  Workers start from a fresh interpreter, so they
   never inherit BLAS thread pools, open file handles or module state from
   the parent -- the only inputs a worker sees are its initializer payload
-  and its chunks, which keeps the determinism contract auditable.
-* **Policies ship once.**  Trained policies serialize to npz bytes (the
-  ``nn/serialization.py`` state-dict format) in a :class:`PolicyArchive`
-  passed to the pool initializer; each worker reconstructs them a single
-  time, not per chunk.  npz round-trips float64 exactly, so worker-side
-  inference is bitwise equal to the parent's.
+  (the path of the pool's archive file, the sha256 of its bytes and a
+  readiness semaphore) and its chunks, which keeps the determinism contract
+  auditable.  Spawn pickles that payload into each child's start-up pipe,
+  which the child reads only once its interpreter has started; a payload
+  larger than the pipe would hold the parent's write, one child after the
+  other, but this one fits at once, so ``Pool()`` returns at once and the
+  workers start side by side.
+* **Policies ship once, as a file.**  Trained policies serialize to npz
+  bytes (the ``nn/serialization.py`` state-dict format) in a
+  :class:`PolicyArchive`, which :class:`EvaluationPool` writes once with
+  :func:`save_archive` into a pool-private temporary directory
+  (``repro-pool-*``); each worker reads the file once, checks its sha256
+  and restores the policies a single time, not per chunk.  npz round-trips
+  float64 exactly, so worker-side inference is bitwise equal to the
+  parent's.  The directory lives as long as the pool (respawned workers
+  read the same file) and :meth:`EvaluationPool.close` removes it; a parent
+  killed by SIGKILL leaves it behind in the temp dir.
 * **Tasks travel as instruction strings.**  ``Task`` objects close over
   lambdas and cannot pickle; workers look the instructions back up in their
   own registry (``task_by_instruction``).
@@ -49,9 +60,14 @@ byte for byte.
 from __future__ import annotations
 
 import atexit
+import hashlib
 import io
 import multiprocessing
+import os
+import shutil
+import tempfile
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -279,31 +295,55 @@ class OracleChunk:
 
 _WORKER_POLICIES = None
 
+# Why this worker's initializer could not restore the pool's archive; every
+# chunk raises it.  The initializer itself never raises: a raising
+# initializer kills its worker, and ``multiprocessing.Pool`` starts a
+# replacement that fails the same way, forever.
+_WORKER_ERROR: str | None = None
 
-def _init_worker(archive: PolicyArchive | None) -> None:
-    """Pool initializer: restore the shipped policies exactly once."""
-    global _WORKER_POLICIES
-    _WORKER_POLICIES = None if archive is None else restore_policies(archive)
+
+def _read_archive(path: str, digest: str | None) -> PolicyArchive:
+    """Read the pool's archive file once and check it is the file written."""
+    with open(path, "rb") as handle:
+        payload = handle.read()
+    found = hashlib.sha256(payload).hexdigest()
+    if found != digest:
+        raise ValueError(
+            f"{path} has sha256 {found}, but the pool wrote sha256 {digest}"
+        )
+    return load_archive(io.BytesIO(payload))
 
 
-def _warm_up(_: int) -> bool:
-    """Near-no-op task that forces a worker through import + initializer.
+def _init_worker(path: str | None, digest: str | None, ready) -> None:
+    """Pool initializer: restore the pool's policy archive exactly once.
 
-    The brief hold keeps an already-warm worker from draining the whole
-    warm-up queue before its slower siblings finish spawning (pool tasks
-    are pulled from one shared queue, so per-worker delivery is otherwise
-    not guaranteed).
+    A pool built without an archive passes no path.  A failure is stored
+    for the worker's chunks to raise.  ``ready`` is released in every case;
+    :meth:`EvaluationPool.warm_up` waits on it.
     """
-    import time
+    global _WORKER_POLICIES, _WORKER_ERROR
+    try:
+        if path is not None:
+            _WORKER_POLICIES = restore_policies(_read_archive(path, digest))
+    except Exception as exc:  # the worker must live; its chunks raise this
+        _WORKER_ERROR = (
+            f"pool worker could not restore the policy archive: "
+            f"{type(exc).__name__}: {exc}"
+        )
+    finally:
+        ready.release()
 
-    time.sleep(0.05)
-    return True
+
+def _raise_restore_error() -> None:
+    if _WORKER_ERROR is not None:
+        raise RuntimeError(_WORKER_ERROR)
 
 
 def _run_lane_chunk(chunk: LaneChunk) -> list[list[EpisodeTrace]]:
     from repro.analysis.evaluation import roll_lane_chunk
     from repro.sim.tasks import task_by_instruction
 
+    _raise_restore_error()
     if _WORKER_POLICIES is None:
         raise RuntimeError("worker pool was started without a policy archive")
     lane_jobs = [
@@ -341,6 +381,7 @@ def _run_faulted_chunk(
 def _run_oracle_chunk(chunk: OracleChunk) -> list[tuple[str, str, bool]]:
     from repro.analysis.evaluation import expert_oracle_outcomes
 
+    _raise_restore_error()
     return expert_oracle_outcomes(chunk.layout, chunk.pairs, chunk.seed)
 
 
@@ -358,10 +399,12 @@ def _chunk_fault_key(chunk: LaneChunk) -> tuple[int, int, int]:
 class EvaluationPool:
     """A warm spawn-context worker pool bound to one set of policies.
 
-    Workers restore the archived policies in their initializer, so
+    The archive is written once, into a pool-private temporary directory,
+    and workers restore it from that file in their initializer, so
     dispatching a chunk costs only the chunk's own pickling.  Use as a
     context manager, or rely on the module-level cache (:func:`run_sharded`)
-    which keeps one pool alive per (policies, worker count).
+    which keeps one pool alive per (policies, worker count); either way
+    :meth:`close` removes the directory.
 
     Dispatch is fault-tolerant: :meth:`run_chunks_reliably` retries
     transient chunk failures (injected crashes, chunk timeouts, IPC errors
@@ -378,16 +421,33 @@ class EvaluationPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._archive = archive
         self.health = HealthCounters()
-        self._pool = self._spawn()
+        self._archive_path: str | None = None
+        self._digest: str | None = None
+        self._remove_archive: weakref.finalize | None = None
+        if archive is not None:
+            directory = tempfile.mkdtemp(prefix="repro-pool-")
+            # Runs on close(), on garbage collection or at exit, whichever
+            # comes first, and only once.
+            self._remove_archive = weakref.finalize(
+                self, shutil.rmtree, directory, ignore_errors=True
+            )
+            path = save_archive(os.path.join(directory, "policies.npz"), archive)
+            with open(path, "rb") as handle:
+                self._digest = hashlib.sha256(handle.read()).hexdigest()
+            self._archive_path = str(path)
+        self._spawn()
 
-    def _spawn(self):
+    def _spawn(self) -> None:
+        """Start the workers.  Each reads the archive file in its
+        initializer and then releases ``_ready`` once."""
         context = multiprocessing.get_context("spawn")
-        return context.Pool(
+        self._ready = context.Semaphore(0)
+        self._warm = False
+        self._pool = context.Pool(
             processes=self.workers,
             initializer=_init_worker,
-            initargs=(self._archive,),
+            initargs=(self._archive_path, self._digest, self._ready),
         )
 
     def respawn(self) -> None:
@@ -395,24 +455,31 @@ class EvaluationPool:
 
         ``terminate`` rather than a graceful close: a pool that lost a
         worker mid-task can hold results that will never arrive, and the
-        tasks it was running are re-dispatched by the caller anyway.
+        tasks it was running are re-dispatched by the caller anyway.  The
+        new workers restore from the same archive file.
         """
         self._pool.terminate()
         self._pool.join()
-        self._pool = self._spawn()
+        self._spawn()
         self.health.respawns += 1
 
     def warm_up(self) -> None:
-        """Best-effort warm-up: push every worker through import + restore.
+        """Wait until every worker has started and restored the archive.
 
-        Dispatches two brief hold tasks per worker slot; because each task
-        occupies its worker for a moment, the queue drains across all ready
-        workers instead of being swallowed by the first one.  Benchmarks
-        call this (plus a small real rollout per worker) so the timed
-        region measures chunk execution, not interpreter start-up; best-of
-        rounds absorb whatever cold start slips through.
+        Each worker's initializer releases the pool's readiness semaphore
+        once, after its restore -- or after storing why the restore failed,
+        which the worker's first chunk then raises.  This takes one signal
+        per worker, then records the pool as warm, so a later call (a
+        second lease of the cached pool) returns at once; :meth:`respawn`
+        clears the record.  Like ``Pool.map`` it blocks without a timeout.
+        Benchmarks call this (plus a small real rollout per worker) so the
+        timed region measures chunk execution, not interpreter start-up.
         """
-        self._pool.map(_warm_up, range(2 * self.workers), chunksize=1)
+        if self._warm:
+            return
+        for _ in range(self.workers):
+            self._ready.acquire()
+        self._warm = True
 
     def _dispatch(self, chunk: LaneChunk, attempt: int, fault_plan: FaultPlan | None):
         """Queue one chunk attempt, injecting the plan's directive if any."""
@@ -501,8 +568,11 @@ class EvaluationPool:
         return self._pool.map(_run_oracle_chunk, list(chunks), chunksize=1)
 
     def close(self) -> None:
+        """Stop the workers and remove the archive's directory (idempotent)."""
         self._pool.terminate()
         self._pool.join()
+        if self._remove_archive is not None:
+            self._remove_archive()
 
     def __enter__(self) -> "EvaluationPool":
         return self
@@ -536,8 +606,6 @@ def _cached_pool(policies, workers: int) -> EvaluationPool:
     key = _pool_key(policies, workers)
     entry = _POOL_CACHE.get(key)
     if entry is None:
-        if not _POOL_CACHE:
-            atexit.register(shutdown_pools)
         archive = None if policies is None else archive_policies(policies)
         entry = (policies, EvaluationPool(archive, workers))
         _POOL_CACHE[key] = entry
@@ -545,11 +613,15 @@ def _cached_pool(policies, workers: int) -> EvaluationPool:
 
 
 def shutdown_pools() -> None:
-    """Terminate every cached worker pool (idempotent)."""
+    """Terminate every cached worker pool and remove its archive directory
+    (idempotent; registered ``atexit`` once, when this module is imported)."""
     _LEASE_COUNTS.clear()
     while _POOL_CACHE:
         _, (_, pool) = _POOL_CACHE.popitem()
         pool.close()
+
+
+atexit.register(shutdown_pools)
 
 
 def lease_pool(policies, workers: int) -> EvaluationPool:

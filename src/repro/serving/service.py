@@ -275,8 +275,9 @@ class EvaluationService:
         if workers > 1:
             from repro.analysis.parallel import lease_pool, release_pool
 
-            # Lease (and thereby spawn + warm) the pool up front, so the
-            # first request pays serving cost only, not interpreter start-up.
+            # Lease (and thereby spawn) the pool up front: its workers start
+            # and restore the policies while the service finishes setting
+            # up, so the first request need not pay interpreter start-up.
             self._pool = lease_pool(policies, workers)
             # The finalizer runs when the service is garbage-collected *or*
             # at interpreter exit -- whichever comes first -- so an abandoned

@@ -11,13 +11,19 @@ Also covers the satellite bugfixes that share this seam: the re-keyed
 and Corki-SW's list aliasing in ``evaluate_all_systems``.
 """
 
+import atexit
 import copy
 import dataclasses
+import hashlib
+import multiprocessing
+import pickle
+from multiprocessing.synchronize import SemLock
 
 import numpy as np
 import pytest
 
 import repro.analysis.evaluation as evaluation
+import repro.analysis.parallel as parallel
 from repro.analysis.evaluation import (
     SystemEvaluation,
     TrainedPolicies,
@@ -29,7 +35,10 @@ from repro.analysis.evaluation import (
 )
 from repro.analysis.metrics import job_statistics
 from repro.analysis.parallel import (
+    EvaluationPool,
     archive_policies,
+    lease_pool,
+    release_pool,
     restore_policies,
     run_sharded,
     shard_lanes,
@@ -103,6 +112,60 @@ class TestPolicyArchive:
             policy_digest(mismatched)
         with pytest.raises(ValueError, match="normalizer"):
             evaluate_system(mismatched, "corki-5", SEEN_LAYOUT, jobs=2, workers=2)
+
+
+class TestPoolStartup:
+    def test_pool_arguments_carry_no_archive_bytes(self, trained, monkeypatch):
+        """Spawn pickles the initializer arguments into each worker's
+        start-up pipe, and the parent's write waits for the worker to read
+        them; the archive ships as a file, so only its path, the sha256 of
+        its bytes and the readiness semaphore travel there."""
+        captured = {}
+
+        class NoWorkers:
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        def capture(**kwargs):
+            captured.update(kwargs)
+            return NoWorkers()
+
+        context = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(context, "Pool", capture)
+        with EvaluationPool(archive_policies(trained), 2) as pool:
+            arguments = [value for key, value in captured.items() if key != "initargs"]
+            for argument in [*arguments, *captured["initargs"]]:
+                if not isinstance(argument, SemLock):
+                    assert len(pickle.dumps(argument)) < 4096
+            path, digest, _ = captured["initargs"]
+            with open(path, "rb") as handle:
+                assert hashlib.sha256(handle.read()).hexdigest() == digest
+        assert pool._archive_path == path
+
+    def test_lease_cycles_register_the_atexit_hook_once(self, monkeypatch):
+        """Each lease/release cycle used to register ``shutdown_pools``
+        again, growing the atexit list once per pooled service a process
+        opened and closed."""
+        registered = []
+
+        class IdlePool:
+            def __init__(self, archive, workers):
+                pass
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(atexit, "register", registered.append)
+        monkeypatch.setattr(parallel, "EvaluationPool", IdlePool)
+        monkeypatch.setattr(parallel, "_POOL_CACHE", {})
+        monkeypatch.setattr(parallel, "_LEASE_COUNTS", {})
+        for _ in range(3):
+            lease_pool(None, 2)
+            release_pool(None, 2)
+        assert registered.count(shutdown_pools) <= 1
 
 
 class TestShardedEvaluation:

@@ -12,6 +12,8 @@ so every test here is deterministic and CI-gateable (the ``chaos`` job).
 import dataclasses
 import io
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -25,9 +27,14 @@ from repro.analysis.evaluation import (
     sample_job,
 )
 from repro.analysis.parallel import (
+    EvaluationPool,
+    LaneChunk,
     archive_policies,
+    lease_pool,
+    release_pool,
     restore_policies,
     run_sharded,
+    save_archive,
     shutdown_pools,
 )
 from repro.reliability import (
@@ -264,6 +271,100 @@ class TestCrashRecovery:
             assert_lane_equal(expected_lane, merged_lane)
         health = shared_pool_health(trained)
         assert health.respawns - before.respawns >= 1
+
+
+# -- the pool's archive file ---------------------------------------------------
+
+
+def reference_chunk() -> LaneChunk:
+    """The ``reference`` fixture's lanes as one pool chunk."""
+    return LaneChunk(
+        system="corki-5",
+        layout=SEEN_LAYOUT,
+        seed=SEED,
+        lane_start=0,
+        instructions=tuple(
+            tuple(task.instruction for task in job)
+            for job in lane_jobs_for(SEED, JOBS)
+        ),
+        fleet_size=32,
+    )
+
+
+def returns_within(seconds, call):
+    """Run ``call`` on a daemon thread; fail if it has not returned in time."""
+    done = threading.Event()
+
+    def run():
+        call()
+        done.set()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert done.is_set(), f"{call} did not return within {seconds} s"
+
+
+class TestPoolArchiveFile:
+    """The pool writes the policy archive once, into a private temporary
+    directory; its workers, and every respawned worker, restore from that
+    file, and the directory goes when the pool does."""
+
+    def test_respawned_workers_restore_from_the_same_file(self, trained, reference):
+        pool = EvaluationPool(archive_policies(trained), 2)
+        directory = os.path.dirname(pool._archive_path)
+        try:
+            assert os.path.isfile(pool._archive_path)
+            pool.respawn()
+            (lanes,) = pool.run_chunks_reliably([reference_chunk()], retry=NO_BACKOFF)
+            assert len(lanes) == len(reference)
+            for expected, rolled in zip(reference, lanes):
+                assert_lane_equal(expected, rolled)
+        finally:
+            pool.close()
+        assert not os.path.exists(directory)
+        pool.close()  # idempotent
+
+    def test_warm_up_twice_returns_both_times(self, trained):
+        with EvaluationPool(archive_policies(trained), 2) as pool:
+            returns_within(120, pool.warm_up)
+            returns_within(5, pool.warm_up)
+
+    def test_last_lease_and_shutdown_remove_the_directory(self, trained, monkeypatch):
+        # Private cache tables, so shutdown_pools() here leaves the
+        # module-shared (trained, 2) pool alone.
+        monkeypatch.setattr(parallel, "_POOL_CACHE", {})
+        monkeypatch.setattr(parallel, "_LEASE_COUNTS", {})
+        clone = restore_policies(archive_policies(trained))
+        pool = lease_pool(clone, 1)
+        assert lease_pool(clone, 1) is pool
+        directory = os.path.dirname(pool._archive_path)
+        release_pool(clone, 1)
+        assert os.path.isdir(directory)
+        release_pool(clone, 1)
+        assert not os.path.exists(directory)
+
+        pool = lease_pool(clone, 1)
+        directory = os.path.dirname(pool._archive_path)
+        shutdown_pools()
+        assert not os.path.exists(directory)
+
+    def test_tampered_archive_fails_its_chunks_without_retries(self, trained):
+        """A file that is not the one the pool wrote (here: a valid archive
+        of the same weights with other metadata) must not be restored.
+        Every worker still signals readiness, and the first chunk raises the
+        stored error -- a deterministic exception: no retry, no respawn."""
+        archive = archive_policies(trained)
+        with EvaluationPool(archive, 2) as pool:
+            other = dataclasses.replace(archive, epochs=archive.epochs + 1)
+            save_archive(pool._archive_path, other)
+            pool.respawn()
+            before = dataclasses.replace(pool.health)
+            returns_within(120, pool.warm_up)
+            with pytest.raises(RuntimeError, match=pool._digest):
+                pool.run_chunks_reliably([reference_chunk()], retry=NO_BACKOFF)
+            assert pool.health.retries == before.retries
+            assert pool.health.respawns == before.respawns
 
 
 # -- cache corruption ----------------------------------------------------------
