@@ -72,7 +72,7 @@ def sharded_throughput(policies, workers, lanes_per_worker):
     off the clock; chunk dispatch, worker-side rollout and the lane-order
     merge are on it.
     """
-    from repro.analysis.evaluation import TrainedPolicies
+    from repro.analysis.evaluation import LaneSpec, TrainedPolicies
     from repro.analysis.parallel import EvaluationPool, LaneChunk, archive_policies
     from repro.sim import SEEN_LAYOUT, TASKS
 
@@ -82,16 +82,14 @@ def sharded_throughput(policies, workers, lanes_per_worker):
     def chunks(system, lanes, frames):
         return [
             LaneChunk(
-                system=system,
-                layout=SEEN_LAYOUT,
-                seed=97,
-                lane_start=worker * lanes,
-                instructions=tuple(
-                    (TASKS[(worker * lanes + k) % len(TASKS)].instruction,)
-                    for k in range(lanes)
+                specs=tuple(
+                    LaneSpec(
+                        system, SEEN_LAYOUT, 97, lane,
+                        (TASKS[lane % len(TASKS)].instruction,), frames,
+                    )
+                    for lane in range(worker * lanes, (worker + 1) * lanes)
                 ),
                 fleet_size=lanes,
-                max_frames=frames,
             )
             for worker in range(workers)
         ]

@@ -6,13 +6,18 @@ experiments and benchmarks do not retrain), rolls out five-task jobs for
 every variation on the requested layout, and aggregates success and
 trajectory statistics.
 
-Jobs roll out through :class:`repro.core.fleet.FleetRunner`: each job is
-one fleet lane with its own environment and feedback generator (seeded from
-``(seed, lane)`` so results stay paired across systems and deterministic
-across runs), and lanes advance in lock-step with batched policy inference.
-``fleet_size`` caps how many jobs fly at once, and ``workers`` shards the
-lanes across OS processes (:mod:`repro.analysis.parallel`) -- both knobs
-leave every byte of the result unchanged.
+A lane is described by one record, :class:`LaneSpec` (system, layout, seed,
+global lane index, instructions, frame budget), and every roll goes through
+:func:`roll_specs`: each spec becomes one fleet lane with its own
+environment and feedback generator (seeded from ``(seed, lane)`` so results
+stay paired across systems and deterministic across runs), and lanes
+advance in lock-step with batched policy inference through
+:class:`repro.core.fleet.FleetRunner`.  A fleet may mix systems:
+:func:`evaluate_all_systems` rolls every system's lanes together.
+``fleet_size`` caps how many lanes fly at once, counted across systems, and
+``workers`` shards the specs across OS processes
+(:mod:`repro.analysis.parallel`) -- both knobs leave every byte of the
+result unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from repro.pipeline.estimate import PipelineEstimate, estimate_lanes
 from repro.sim.camera import OBSERVATION_DIM, RAW_FEATURE_DIM
 from repro.sim.dataset import ActionNormalizer, collect_demonstrations, roll_expert_episodes
 from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, BatchedManipulationEnv, ManipulationEnv
-from repro.sim.tasks import TASK_FAMILIES, TASKS, sample_job
+from repro.sim.tasks import TASK_FAMILIES, TASKS, sample_job, task_by_instruction
 from repro.sim.world import SEEN_LAYOUT, SceneLayout
 
 __all__ = [
@@ -45,7 +50,9 @@ __all__ = [
     "get_trained_policies",
     "lane_estimates",
     "lane_generators",
+    "LaneSpec",
     "build_lane",
+    "roll_specs",
     "roll_lane_chunk",
     "evaluate_system",
     "evaluate_all_systems",
@@ -177,32 +184,71 @@ def lane_generators(
     )
 
 
-def build_lane(
-    system: str,
-    layout: SceneLayout,
-    seed: int,
-    lane: int,
-    tasks: list,
-    max_frames: int = MAX_EPISODE_FRAMES,
-) -> tuple[ManipulationEnv, FleetLane]:
-    """The environment and :class:`FleetLane` of global lane ``lane``.
+@dataclass(frozen=True, eq=False)
+class LaneSpec:
+    """One evaluation lane: everything its traces depend on besides the weights.
 
-    The one constructor of an evaluation lane: :func:`roll_lane_chunk` and
-    the serving tier's continuous batching both build lanes here, so a
-    served request and the batch lane at the same ``(seed, lane)`` roll
-    from identical state.
+    ``lane`` is the *global* lane index its :func:`lane_generators` streams
+    key on, and ``instructions`` its job, one instruction string per task.
+    These are exactly the fields a result-cache key hashes
+    (:meth:`repro.serving.cache.ResultCache.lane_key`).  A spec pickles (the
+    pool ships specs to its workers), so it carries instruction strings, not
+    ``Task`` objects, whose closures cannot pickle; :func:`build_lane`
+    resolves them.  ``eq=False``: a :class:`SceneLayout` holds arrays, so a
+    generated ``__eq__``/``__hash__`` would raise; nothing compares specs.
+    """
+
+    system: str
+    layout: SceneLayout
+    seed: int
+    lane: int
+    instructions: tuple[str, ...]
+    max_frames: int = MAX_EPISODE_FRAMES
+
+
+def build_lane(spec: LaneSpec) -> tuple[ManipulationEnv, FleetLane]:
+    """The environment and :class:`FleetLane` of one lane spec.
+
+    The one constructor of an evaluation lane: :func:`roll_specs` and the
+    serving tier's continuous batching both build lanes here, so a served
+    request and the batch lane at the same ``(seed, lane)`` roll from
+    identical state.
     """
     variation: CorkiVariation | None = None
-    if system != "roboflamingo":
-        variation = VARIATIONS[system]
-    env_rng, feedback_rng = lane_generators(seed, lane)
-    return ManipulationEnv(layout, env_rng), FleetLane(
-        tasks=list(tasks),
+    if spec.system != "roboflamingo":
+        variation = VARIATIONS[spec.system]
+    env_rng, feedback_rng = lane_generators(spec.seed, spec.lane)
+    return ManipulationEnv(spec.layout, env_rng), FleetLane(
+        tasks=[task_by_instruction(text) for text in spec.instructions],
         variation=variation,
         rng=feedback_rng,
         actuation=TRACKING_30HZ if variation is None else TRACKING_100HZ,
-        max_frames=max_frames,
+        max_frames=spec.max_frames,
     )
+
+
+def roll_specs(
+    policies: TrainedPolicies,
+    specs: Sequence[LaneSpec],
+    fleet_size: int = DEFAULT_FLEET_SIZE,
+) -> list[list[EpisodeTrace]]:
+    """Roll lane specs in fleets of ``fleet_size``; one trace list per spec.
+
+    Specs may mix systems, layouts, seeds and frame budgets: each lane's
+    randomness comes from :func:`lane_generators` at its *global* index and
+    fleet numerics are fleet-size invariant, so a lane's bytes depend on
+    neither its fleet-mates nor its position.  This is the unit of work
+    both the in-process path and the :mod:`repro.analysis.parallel` worker
+    processes execute -- sharded and sequential evaluation run literally the
+    same code.
+    """
+    runner = FleetRunner(baseline=policies.baseline, corki=policies.corki)
+    per_lane: list[list[EpisodeTrace]] = []
+    chunk = max(1, fleet_size)
+    for start in range(0, len(specs), chunk):
+        envs, lanes = zip(*(build_lane(spec) for spec in specs[start : start + chunk]))
+        per_lane.extend(runner.run(BatchedManipulationEnv(list(envs)), list(lanes)))
+    return per_lane
 
 
 def roll_lane_chunk(
@@ -213,119 +259,67 @@ def roll_lane_chunk(
     lane_jobs: list[list],
     lane_start: int = 0,
     fleet_size: int = DEFAULT_FLEET_SIZE,
-    max_frames: int = MAX_EPISODE_FRAMES,
-    lane_indices: list[int] | None = None,
 ) -> list[list[EpisodeTrace]]:
-    """Roll a block of evaluation lanes; one trace list per lane.
+    """Roll a block of one system's lanes; one trace list per lane.
 
-    ``lane_jobs[k]`` is the job (task list) of global lane ``lane_start + k``
-    -- or of lane ``lane_indices[k]`` when explicit (not necessarily
-    contiguous) indices are given, which is how the result cache re-rolls
-    only the lanes that missed.  Each lane's randomness comes from
-    :func:`lane_generators` at its *global* index, so a block's results do
-    not depend on how the lane space was split.  This is the unit of work
-    both the in-process path and the :mod:`repro.analysis.parallel` worker
-    processes execute -- sharded and sequential evaluation run literally the
-    same code.
+    ``lane_jobs[k]`` is the job (task list) of global lane ``lane_start + k``:
+    the block's specs, rolled by :func:`roll_specs`.
     """
-    if lane_indices is not None and len(lane_indices) != len(lane_jobs):
-        raise ValueError("lane_indices must map one global index per job")
-
-    envs = []
-    lanes = []
-    for offset, tasks in enumerate(lane_jobs):
-        index = lane_start + offset if lane_indices is None else lane_indices[offset]
-        env, lane = build_lane(system, layout, seed, index, tasks, max_frames)
-        envs.append(env)
-        lanes.append(lane)
-
-    runner = FleetRunner(baseline=policies.baseline, corki=policies.corki)
-    per_lane: list[list[EpisodeTrace]] = []
-    chunk = max(1, fleet_size)
-    for start in range(0, len(lanes), chunk):
-        fleet = BatchedManipulationEnv(envs[start : start + chunk])
-        per_lane.extend(runner.run(fleet, lanes[start : start + chunk]))
-    return per_lane
-
-
-def _roll_lanes(
-    policies: TrainedPolicies,
-    system: str,
-    layout: SceneLayout,
-    seed: int,
-    lane_jobs: list[list],
-    fleet_size: int,
-    workers: int,
-    lane_indices: list[int] | None = None,
-    retry=None,
-    fault_plan=None,
-    chunk_timeout: float | None = None,
-) -> list[list[EpisodeTrace]]:
-    """Dispatch lanes in-process (``workers <= 1``) or across a worker pool.
-
-    ``retry`` / ``fault_plan`` / ``chunk_timeout`` configure the pool path's
-    fault tolerance (see :func:`repro.analysis.parallel.run_sharded`); the
-    in-process path has no worker processes to crash, so it ignores them --
-    which is exactly what makes a ``workers=1`` run the fault-free reference
-    a recovered sharded run must match byte for byte.
-    """
-    if workers <= 1:
-        return roll_lane_chunk(
-            policies, system, layout, seed, lane_jobs,
-            fleet_size=fleet_size, lane_indices=lane_indices,
-        )
-    from repro.analysis.parallel import run_sharded
-
-    return run_sharded(
-        policies, system, layout, seed, lane_jobs,
-        fleet_size=fleet_size, workers=workers, lane_indices=lane_indices,
-        retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout,
+    return roll_specs(
+        policies,
+        [
+            LaneSpec(system, layout, seed, lane_start + offset, _instructions(tasks))
+            for offset, tasks in enumerate(lane_jobs)
+        ],
+        fleet_size,
     )
 
 
-def _roll_lanes_cached(
+def _instructions(tasks) -> tuple[str, ...]:
+    return tuple(task.instruction for task in tasks)
+
+
+def _roll(
     policies: TrainedPolicies,
-    system: str,
-    layout: SceneLayout,
-    seed: int,
-    lane_jobs: list[list],
+    specs: list[LaneSpec],
     fleet_size: int,
     workers: int,
-    cache,
+    cache=None,
     retry=None,
     fault_plan=None,
     chunk_timeout: float | None = None,
 ) -> list[list[EpisodeTrace]]:
-    """:func:`_roll_lanes` behind a content-addressed result cache.
+    """Every spec's traces, in spec order: the one roll behind evaluation.
 
-    Each lane is looked up under its full identity -- policy-weight digest,
-    system, layout, seed, *global lane index*, job instructions -- and only
-    the misses are rolled (at their original global indices, so their
-    :func:`lane_generators` streams, and therefore their bytes, match what a
-    cache-less run would produce).  Fresh results are stored back, so a
-    repeated evaluation (``tbl1`` reruns, repeated service requests) is
-    served without re-rolling anything.
+    With a ``cache`` (a :class:`repro.serving.cache.ResultCache`) each spec
+    is looked up under its full identity first, only the misses roll, and
+    fresh results are stored back, so a repeated evaluation (``tbl1``
+    reruns, repeated service requests) is served without re-rolling
+    anything.  Misses roll in-process (``workers <= 1``) or sharded across
+    a worker pool; either way they keep their global lane indices, so their
+    bytes match a cache-less run.  ``retry`` / ``fault_plan`` /
+    ``chunk_timeout`` configure the pool path's fault tolerance (see
+    :func:`repro.analysis.parallel.run_sharded`); the in-process path has no
+    worker processes to crash, so it ignores them -- which is exactly what
+    makes a ``workers=1`` run the fault-free reference a recovered sharded
+    run must match byte for byte.
     """
-    if cache is None:
-        return _roll_lanes(
-            policies, system, layout, seed, lane_jobs, fleet_size, workers,
-            retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout,
-        )
-    keys = [
-        cache.lane_key(policies, system, layout, seed, index, job)
-        for index, job in enumerate(lane_jobs)
-    ]
-    per_lane: list[list[EpisodeTrace] | None] = [cache.get(key) for key in keys]
-    miss_indices = [index for index, hit in enumerate(per_lane) if hit is None]
-    if miss_indices:
-        rolled = _roll_lanes(
-            policies, system, layout, seed,
-            [lane_jobs[index] for index in miss_indices],
-            fleet_size, workers, lane_indices=miss_indices,
-            retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout,
-        )
-        for index, traces in zip(miss_indices, rolled):
-            cache.put(keys[index], traces)
+    keys = [] if cache is None else [cache.lane_key(policies, spec) for spec in specs]
+    per_lane = [None] * len(specs) if cache is None else [cache.get(key) for key in keys]
+    misses = [index for index, hit in enumerate(per_lane) if hit is None]
+    if misses:
+        todo = [specs[index] for index in misses]
+        if workers <= 1:
+            rolled = roll_specs(policies, todo, fleet_size)
+        else:
+            from repro.analysis.parallel import run_sharded
+
+            rolled = run_sharded(
+                policies, todo, fleet_size, workers, retry, fault_plan, chunk_timeout
+            )
+        for index, traces in zip(misses, rolled):
+            if cache is not None:
+                cache.put(keys[index], traces)
             per_lane[index] = traces
     return per_lane
 
@@ -345,8 +339,9 @@ def evaluate_system(
 ) -> SystemEvaluation:
     """Roll out ``jobs`` five-task jobs for one system on one layout.
 
-    ``system`` is ``"roboflamingo"`` or a Corki variation name.  Jobs run as
-    fleet lanes with batched inference, up to ``fleet_size`` at a time, and
+    The one-system case of :func:`evaluate_all_systems`.  ``system`` is
+    ``"roboflamingo"`` or a Corki variation name.  Jobs run as fleet lanes
+    with batched inference, up to ``fleet_size`` at a time, and
     ``workers > 1`` shards the lanes across OS processes.  Every lane's scene
     and feedback randomness is seeded from ``(seed, lane)``, so all systems
     see identical job sequences and scene randomness for a given seed and
@@ -361,27 +356,11 @@ def evaluate_system(
     result byte for byte, because re-rolled chunks keep their global lane
     keying.
     """
-    # repro: allow[RNG-KEYED] reason=job-sampling master stream, not lane-scoped; lanes key via lane_generators
-    job_rng = np.random.default_rng(seed)  # drives job/task sampling only
-    lane_jobs = [sample_job(job_rng, JOB_LENGTH) for _ in range(jobs)]
-    per_lane = _roll_lanes_cached(
-        policies, system, layout, seed, lane_jobs, fleet_size, workers, cache,
+    return evaluate_all_systems(
+        policies, layout, jobs, seed, systems=[system],
+        fleet_size=fleet_size, workers=workers, cache=cache,
         retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout,
-    )
-    completed = [sum(trace.success for trace in job_traces) for job_traces in per_lane]
-    traces = [trace for job_traces in per_lane for trace in job_traces]
-    lane_steps = [
-        [step for trace in job_traces for step in trace.executed_steps]
-        for job_traces in per_lane
-    ]
-    return SystemEvaluation(
-        name=system,
-        job_stats=job_statistics(completed, JOB_LENGTH),
-        traces=traces,
-        completed_counts=completed,
-        estimates=lane_estimates(system, lane_steps, seed),
-        lane_steps=lane_steps,
-    )
+    )[system]
 
 
 def lane_estimates(
@@ -423,22 +402,34 @@ def evaluate_all_systems(
 ) -> dict[str, SystemEvaluation]:
     """Evaluate the baseline and every Corki variation on one layout.
 
+    Every system rolls the same ``jobs`` jobs, sampled once from ``seed``:
+    Tbl. 1's paired comparison.  All systems' lanes roll together, as mixed
+    fleets of ``fleet_size`` lanes (``fleet_size`` counts lanes across
+    systems), and split back by system; see :func:`evaluate_system` for
+    ``workers``, ``cache`` and the fault-tolerance knobs.
+
     Corki-SW shares Corki-5's episodes (the paper: accuracy is identical
     because only the control substrate differs), so its rollout is reused
     rather than re-rolled.  It gets its *own* trace and count lists -- the
     underlying traces are shared read-only, but a caller mutating one
-    system's lists must not silently corrupt the other's.  ``cache``
-    (see :func:`evaluate_system`) makes reruns of the whole sweep cache
-    hits.
+    system's lists must not silently corrupt the other's.
     """
     names = systems or ["roboflamingo", "corki-1", "corki-3", "corki-5", "corki-7", "corki-9", "corki-adap"]
-    results: dict[str, SystemEvaluation] = {}
-    for name in names:
-        results[name] = evaluate_system(
-            policies, name, layout, jobs, seed,
-            fleet_size=fleet_size, workers=workers, cache=cache,
-            retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout,
-        )
+    # repro: allow[RNG-KEYED] reason=job-sampling master stream, not lane-scoped; lanes key via lane_generators
+    job_rng = np.random.default_rng(seed)  # drives job/task sampling only
+    lane_jobs = [_instructions(sample_job(job_rng, JOB_LENGTH)) for _ in range(jobs)]
+    specs = [
+        LaneSpec(name, layout, seed, lane, job)
+        for name in names
+        for lane, job in enumerate(lane_jobs)
+    ]
+    per_lane = _roll(
+        policies, specs, fleet_size, workers, cache, retry, fault_plan, chunk_timeout
+    )
+    results = {
+        name: _system_evaluation(name, per_lane[offset * jobs : (offset + 1) * jobs], seed)
+        for offset, name in enumerate(names)
+    }
     if systems is None:
         corki5 = results["corki-5"]
         # Same episodes, different substrate: corki-sw's *estimates* are
@@ -452,6 +443,27 @@ def evaluate_all_systems(
             lane_steps=[list(steps) for steps in corki5.lane_steps],
         )
     return results
+
+
+def _system_evaluation(
+    system: str, per_lane: list[list[EpisodeTrace]], seed: int
+) -> SystemEvaluation:
+    """Aggregate one system's rolled lanes (lane ``k`` is global lane ``k``)."""
+    completed = [sum(trace.success for trace in job_traces) for job_traces in per_lane]
+    lane_steps = [_executed_steps(job_traces) for job_traces in per_lane]
+    return SystemEvaluation(
+        name=system,
+        job_stats=job_statistics(completed, JOB_LENGTH),
+        traces=[trace for job_traces in per_lane for trace in job_traces],
+        completed_counts=completed,
+        estimates=lane_estimates(system, lane_steps, seed),
+        lane_steps=lane_steps,
+    )
+
+
+def _executed_steps(traces: list[EpisodeTrace]) -> list[int]:
+    """A lane's concatenated ``executed_steps`` record."""
+    return [step for trace in traces for step in trace.executed_steps]
 
 
 # -- per-family task-suite reporting ------------------------------------------
@@ -503,8 +515,7 @@ def evaluate_system_families(
     seed: int = 4321,
     fleet_size: int = DEFAULT_FLEET_SIZE,
     workers: int = 1,
-    return_estimates: bool = False,
-) -> dict[str, FamilyCell] | tuple[dict[str, FamilyCell], list[PipelineEstimate]]:
+) -> tuple[dict[str, FamilyCell], list[PipelineEstimate]]:
     """Per-family success matrix row for one system (the Tbl. 2-style view).
 
     Every registry task runs ``episodes_per_task`` single-task episodes as
@@ -512,24 +523,21 @@ def evaluate_system_families(
     chunks (sharded across processes when ``workers > 1``).  Lane seeding
     follows :func:`evaluate_system` -- ``(seed, lane)`` derived generators --
     so the matrix is deterministic, fleet-size invariant and worker-count
-    invariant.  With ``return_estimates`` the per-lane latency/energy
-    estimates (:func:`lane_estimates`) ride along as a second return value.
+    invariant.  Returns the cells and the per-lane latency/energy estimates
+    (:func:`lane_estimates`).
     """
-    specs = [task for task in TASKS for _ in range(episodes_per_task)]
-    lane_jobs = [[task] for task in specs]
-    per_lane = _roll_lanes(policies, system, layout, seed, lane_jobs, fleet_size, workers)
+    tasks = [task for task in TASKS for _ in range(episodes_per_task)]
+    specs = [
+        LaneSpec(system, layout, seed, lane, (task.instruction,))
+        for lane, task in enumerate(tasks)
+    ]
+    per_lane = _roll(policies, specs, fleet_size, workers)
     outcomes = [
         (task.family, task.instruction, bool(lane_traces[0].success))
-        for task, lane_traces in zip(specs, per_lane)
+        for task, lane_traces in zip(tasks, per_lane)
     ]
-    cells = _aggregate_families(outcomes)
-    if not return_estimates:
-        return cells
-    lane_steps = [
-        [step for trace in lane_traces for step in trace.executed_steps]
-        for lane_traces in per_lane
-    ]
-    return cells, lane_estimates(system, lane_steps, seed)
+    lane_steps = [_executed_steps(lane_traces) for lane_traces in per_lane]
+    return _aggregate_families(outcomes), lane_estimates(system, lane_steps, seed)
 
 
 def expert_oracle_outcomes(

@@ -3,13 +3,16 @@
 :mod:`repro.analysis.evaluation` rolls jobs as fleet lanes in sequential
 ``fleet_size`` chunks.  This module lifts that loop across OS processes: the
 lane space is split into contiguous shards, each shard ships to a worker as
-a :class:`LaneChunk`, and the workers execute *the same*
-:func:`repro.analysis.evaluation.roll_lane_chunk` the in-process path runs.
-Because every lane's randomness is keyed on its global index
-(``lane_generators`` -- ``[seed, 1, lane]`` / ``[seed, 2, lane]``) and fleet
-results are fleet-size invariant, the merged output is byte-identical to a
-single-process run for any worker count; ``tests/test_parallel.py`` asserts
-this for Tbl. 1 and the per-family matrix.
+a :class:`LaneChunk` of lane specs
+(:class:`~repro.analysis.evaluation.LaneSpec`), and the workers execute *the
+same* :func:`repro.analysis.evaluation.roll_specs` the in-process path runs.
+A chunk may mix systems, layouts, seeds and frame budgets.  Because every
+lane's randomness is keyed on its global index (``lane_generators`` --
+``[seed, 1, lane]`` / ``[seed, 2, lane]``) and fleet results are fleet-size
+invariant, the merged output is byte-identical to a single-process run for
+any worker count; ``tests/test_parallel.py`` asserts this for Tbl. 1 and
+the per-family matrix, and ``tests/test_differential.py`` across every
+entry point.
 
 Design notes:
 
@@ -34,27 +37,26 @@ Design notes:
   read the same file) and :meth:`EvaluationPool.close` removes it; a parent
   killed by SIGKILL leaves it behind in the temp dir.
 * **Tasks travel as instruction strings.**  ``Task`` objects close over
-  lambdas and cannot pickle; workers look the instructions back up in their
-  own registry (``task_by_instruction``).
+  lambdas and cannot pickle, so a spec carries instruction strings, which
+  :func:`~repro.analysis.evaluation.build_lane` looks back up in the
+  worker's own registry (``task_by_instruction``).
 * **Failures surface.**  A chunk that raises in a worker propagates the
   exception through ``Pool.map`` -- lanes are never silently dropped -- and
   the merge re-checks that exactly one trace list came back per lane.
 
-The pool is cached per (policies, worker count) so a sweep that evaluates
-many systems with the same trained policies (Tbl. 1's seven rollouts) pays
-the spawn cost once; :func:`lease_pool` hands the same warm pool to
-long-lived callers (the :mod:`repro.serving` evaluation service keeps one
-leased between requests and dispatches each drain's chunks through
-:meth:`EvaluationPool.run_chunks_reliably`).
+The pool is cached per (policies, worker count) so every evaluation a run
+makes with the same trained policies (Tbl. 1 and 2's sweeps, the family
+matrix) pays the spawn cost once; :func:`lease_pool` hands the same warm
+pool to long-lived callers (the :mod:`repro.serving` evaluation service
+keeps one leased between requests and dispatches each drain's chunks
+through :meth:`EvaluationPool.run_chunks_reliably`).
 
 Determinism guarantees of this module: worker-side rollouts are bitwise
 equal to parent-side rollouts (spawned interpreters, npz-exact policy
-round-trips, the same ``roll_lane_chunk`` code object), lane randomness is
-a pure function of ``(seed, global lane index)`` whether the index comes
-from a contiguous ``lane_start`` range or an explicit ``lane_indices``
-tuple, and merges preserve lane order -- so *any* partition of the lane
-space across *any* number of workers reproduces the single-process result
-byte for byte.
+round-trips, the same ``roll_specs`` code object), lane randomness is a
+pure function of each spec's ``(seed, lane)``, and merges preserve spec
+order -- so *any* partition of the specs across *any* number of workers
+reproduces the single-process result byte for byte.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ import tempfile
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.core.runner import MAX_EPISODE_FRAMES, EpisodeTrace
+from repro.core.runner import EpisodeTrace
 from repro.nn.serialization import load_state_dict, state_dict
 from repro.reliability.faults import (
     ChunkDirective,
@@ -84,6 +86,9 @@ from repro.reliability.faults import (
 from repro.reliability.health import HealthCounters, PoolUnhealthy
 from repro.reliability.retry import RetryPolicy
 from repro.sim.world import SceneLayout
+
+if TYPE_CHECKING:
+    from repro.analysis.evaluation import LaneSpec
 
 __all__ = [
     "PolicyArchive",
@@ -261,25 +266,16 @@ def load_archive(path) -> PolicyArchive:
 
 @dataclass(frozen=True)
 class LaneChunk:
-    """One worker's slice of an evaluation's lane space.
+    """One worker's share of a roll: lane specs, rolled by ``roll_specs``
+    in fleets of ``fleet_size``.
 
-    ``instructions[k]`` holds the instruction strings of the job on global
-    lane ``lane_start + k`` (or on lane ``lane_indices[k]`` when the chunk
-    carries explicit indices -- the result-cache path rolls only the lanes
-    that missed, which are rarely contiguous); the worker resolves them
-    against its own task registry and rolls the block with
-    ``roll_lane_chunk``.  Lane randomness keys on the *global* index either
-    way, so how the lane space is sliced never changes a lane's bytes.
+    The specs may mix systems, layouts, seeds and frame budgets.  Each
+    carries its global lane index, on which its randomness keys, so how the
+    specs are sliced never changes a lane's bytes.
     """
 
-    system: str
-    layout: SceneLayout
-    seed: int
-    lane_start: int
-    instructions: tuple[tuple[str, ...], ...]
+    specs: tuple[LaneSpec, ...]
     fleet_size: int
-    max_frames: int = MAX_EPISODE_FRAMES
-    lane_indices: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -340,27 +336,12 @@ def _raise_restore_error() -> None:
 
 
 def _run_lane_chunk(chunk: LaneChunk) -> list[list[EpisodeTrace]]:
-    from repro.analysis.evaluation import roll_lane_chunk
-    from repro.sim.tasks import task_by_instruction
+    from repro.analysis.evaluation import roll_specs
 
     _raise_restore_error()
     if _WORKER_POLICIES is None:
         raise RuntimeError("worker pool was started without a policy archive")
-    lane_jobs = [
-        [task_by_instruction(instruction) for instruction in job]
-        for job in chunk.instructions
-    ]
-    return roll_lane_chunk(
-        _WORKER_POLICIES,
-        chunk.system,
-        chunk.layout,
-        chunk.seed,
-        lane_jobs,
-        lane_start=chunk.lane_start,
-        fleet_size=chunk.fleet_size,
-        max_frames=chunk.max_frames,
-        lane_indices=chunk.lane_indices,
-    )
+    return roll_specs(_WORKER_POLICIES, chunk.specs, chunk.fleet_size)
 
 
 def _run_faulted_chunk(
@@ -389,11 +370,12 @@ def _run_oracle_chunk(chunk: OracleChunk) -> list[tuple[str, str, bool]]:
 
 
 def _chunk_fault_key(chunk: LaneChunk) -> tuple[int, int, int]:
-    """A :class:`FaultPlan` identity for one chunk: (seed, first global lane,
-    lane count).  Stable across retries and across how the parent happened to
-    order its dispatches, so the same plan faults the same chunk every run."""
-    first = chunk.lane_indices[0] if chunk.lane_indices else chunk.lane_start
-    return (chunk.seed, first, len(chunk.instructions))
+    """A :class:`FaultPlan` identity for one chunk: (first spec's seed, first
+    spec's global lane, lane count).  Stable across retries and across how
+    the parent happened to order its dispatches, so the same plan faults the
+    same chunk every run."""
+    first = chunk.specs[0]
+    return (first.seed, first.lane, len(chunk.specs))
 
 
 class EvaluationPool:
@@ -599,8 +581,8 @@ def _cached_pool(policies, workers: int) -> EvaluationPool:
     """One pool per (policies identity, worker count).
 
     Policies are frozen after training in this codebase, so identity is a
-    sound cache key; a sweep evaluating seven systems with the same weights
-    spawns its workers once.  Pools are torn down atexit (or explicitly via
+    sound cache key; every evaluation with the same weights spawns its
+    workers once.  Pools are torn down atexit (or explicitly via
     :func:`shutdown_pools`).
     """
     key = _pool_key(policies, workers)
@@ -671,10 +653,10 @@ def shard_lanes(total: int, workers: int) -> list[tuple[int, int]]:
     by at most one.  Never returns an empty range: with fewer lanes than
     workers the surplus workers simply receive no chunk (callers size their
     pools by ``len(shard_lanes(...))``, not by ``workers``).  Splitting is
-    pure bookkeeping -- lane randomness is keyed on global lane index, so
-    *any* partition merges back to the identical result; the evaluation
-    service reuses the same splitter over request lists whose global
-    indices it carries separately (``LaneChunk.lane_indices``).
+    pure bookkeeping -- lane randomness is keyed on each spec's global lane
+    index, so *any* partition merges back to the identical result; the
+    evaluation service reuses the same splitter over its live misses, whose
+    specs may mix systems, seeds, layouts and frame budgets.
     """
     workers = max(1, min(workers, total))
     base, extra = divmod(total, workers)
@@ -690,48 +672,25 @@ def shard_lanes(total: int, workers: int) -> list[tuple[int, int]]:
 
 def run_sharded(
     policies,
-    system: str,
-    layout: SceneLayout,
-    seed: int,
-    lane_jobs: list[list],
+    specs: Sequence[LaneSpec],
     fleet_size: int,
     workers: int,
-    max_frames: int = MAX_EPISODE_FRAMES,
-    lane_indices: Sequence[int] | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     chunk_timeout: float | None = None,
 ) -> list[list[EpisodeTrace]]:
-    """Roll ``lane_jobs`` across a worker pool; traces merge in lane order.
+    """Roll lane specs across a worker pool; traces merge in spec order.
 
-    ``lane_jobs[k]`` rolls on global lane ``k``, or on lane
-    ``lane_indices[k]`` when given (the result-cache path re-rolls only the
-    lanes that missed).  Byte-identical to the in-process
-    :func:`repro.analysis.evaluation.roll_lane_chunk` over the same lanes --
+    Byte-identical to the in-process
+    :func:`repro.analysis.evaluation.roll_specs` over the same specs --
     including runs that survive injected or real worker crashes, because
     re-rolled chunks key their randomness on the same global lane indices
     (``retry`` / ``fault_plan`` / ``chunk_timeout`` feed
     :meth:`EvaluationPool.run_chunks_reliably`).
     """
-    if lane_indices is not None and len(lane_indices) != len(lane_jobs):
-        raise ValueError("lane_indices must map one global index per job")
     chunks = [
-        LaneChunk(
-            system=system,
-            layout=layout,
-            seed=seed,
-            lane_start=start,
-            instructions=tuple(
-                tuple(task.instruction for task in job)
-                for job in lane_jobs[start:stop]
-            ),
-            fleet_size=fleet_size,
-            max_frames=max_frames,
-            lane_indices=(
-                None if lane_indices is None else tuple(lane_indices[start:stop])
-            ),
-        )
-        for start, stop in shard_lanes(len(lane_jobs), workers)
+        LaneChunk(specs=tuple(specs[start:stop]), fleet_size=fleet_size)
+        for start, stop in shard_lanes(len(specs), workers)
     ]
     if not chunks:  # zero lanes: same empty result the in-process path yields
         return []
@@ -742,10 +701,10 @@ def run_sharded(
         chunks, retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout
     )
     merged = [lane_traces for chunk_result in results for lane_traces in chunk_result]
-    if len(merged) != len(lane_jobs):
+    if len(merged) != len(specs):
         raise RuntimeError(
             f"sharded evaluation returned {len(merged)} lanes for "
-            f"{len(lane_jobs)} jobs; a worker dropped lanes"
+            f"{len(specs)} specs; a worker dropped lanes"
         )
     return merged
 

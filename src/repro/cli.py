@@ -60,8 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--fleet-size", type=int, default=None, metavar="N",
-        help="jobs rolled out in lock-step per evaluation fleet "
-             "(default: the profile's fleet_size; 1 disables batching)",
+        help="lanes rolled out in lock-step per evaluation fleet, counted "
+             "across systems (default: the profile's fleet_size; 1 disables "
+             "batching)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

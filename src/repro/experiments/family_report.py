@@ -45,7 +45,6 @@ def family_table(scenario: str, profile: Profile | None = None) -> str:
             seed=resolved.eval_seed,
             fleet_size=resolved.fleet_size,
             workers=resolved.workers,
-            return_estimates=True,
         )
     rows = []
     for family in TASK_FAMILIES:

@@ -238,28 +238,16 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lane_key(
-        self,
-        policies,
-        system: str,
-        layout,
-        seed: int,
-        lane: int,
-        job,
-        max_frames: int = MAX_EPISODE_FRAMES,
-    ) -> str:
-        """Key one evaluation lane: ``job`` is a task list (or instructions)."""
-        instructions = tuple(
-            task if isinstance(task, str) else task.instruction for task in job
-        )
+    def lane_key(self, policies, spec) -> str:
+        """Key one evaluation lane, a :class:`~repro.analysis.evaluation.LaneSpec`."""
         return result_key(
             policy_digest(policies),
-            system,
-            layout.name,
-            seed,
-            lane,
-            instructions,
-            max_frames=max_frames,
+            spec.system,
+            spec.layout.name,
+            spec.seed,
+            spec.lane,
+            spec.instructions,
+            max_frames=spec.max_frames,
         )
 
     def _path(self, key: str) -> Path | None:

@@ -49,7 +49,7 @@ import logging
 import time
 import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.config import VARIATIONS
 from repro.core.fleet import DEFAULT_FLEET_SIZE, FleetLane, FleetRunner
@@ -59,6 +59,9 @@ from repro.reliability.faults import FaultPlan
 from repro.reliability.health import HealthCounters, PoolUnhealthy
 from repro.reliability.retry import RetryPolicy
 from repro.serving.cache import ResultCache
+
+if TYPE_CHECKING:
+    from repro.analysis.evaluation import LaneSpec
 
 __all__ = [
     "EpisodeRequest",
@@ -185,19 +188,30 @@ def estimate_for_request(
     )
 
 
-def _resolve_layout(name: str):
+def _lane_spec(request: EpisodeRequest) -> LaneSpec:
+    """The lane a request rolls: the batch lane at ``(request.seed,
+    request.lane)``, and the identity its cache key hashes."""
+    from repro.analysis.evaluation import LaneSpec
     from repro.sim.world import SEEN_LAYOUT, UNSEEN_LAYOUT
 
-    return SEEN_LAYOUT if name == "seen" else UNSEEN_LAYOUT
+    return LaneSpec(
+        request.system,
+        SEEN_LAYOUT if request.layout == "seen" else UNSEEN_LAYOUT,
+        request.seed,
+        request.lane,
+        request.instructions,
+        request.max_frames,
+    )
 
 
 @dataclass
 class _Admission:
-    """One queued request; ``admitted_at`` (service-clock seconds) anchors
-    its ``deadline_ms``."""
+    """One queued request and its lane spec; ``admitted_at`` (service-clock
+    seconds) anchors its ``deadline_ms``."""
 
     request: EpisodeRequest
     admitted_at: float
+    spec: LaneSpec
 
 
 class EvaluationService:
@@ -313,7 +327,7 @@ class EvaluationService:
     def submit(self, request: EpisodeRequest) -> None:
         """Queue one request for the next :meth:`drain`."""
         self._check_open()
-        self._queue.append(_Admission(request, self._clock()))
+        self._queue.append(_Admission(request, self._clock(), _lane_spec(request)))
 
     def serve(self, requests) -> list[ServedResult]:
         """Submit every request, drain, return results in request order."""
@@ -348,7 +362,9 @@ class EvaluationService:
             if self._expired(admission):
                 self._timeout(index, admission, results)
                 continue
-            key = self._key(request)
+            key = None if self.cache is None else self.cache.lane_key(
+                self.policies, admission.spec
+            )
             hit = None if key is None else self.cache.get(key)
             if hit is not None:
                 results[index] = ServedResult(
@@ -434,35 +450,6 @@ class EvaluationService:
 
     # -- rolling ---------------------------------------------------------------
 
-    def _key(self, request: EpisodeRequest) -> str | None:
-        if self.cache is None:
-            return None
-        return self.cache.lane_key(
-            self.policies,
-            request.system,
-            _resolve_layout(request.layout),
-            request.seed,
-            request.lane,
-            request.instructions,
-            max_frames=request.max_frames,
-        )
-
-    def _lane_for(self, request: EpisodeRequest):
-        """The (environment, FleetLane) admission for one request: the
-        batch lane at ``(request.seed, request.lane)``, built by the same
-        :func:`repro.analysis.evaluation.build_lane`."""
-        from repro.analysis.evaluation import build_lane
-        from repro.sim.tasks import task_by_instruction
-
-        return build_lane(
-            request.system,
-            _resolve_layout(request.layout),
-            request.seed,
-            request.lane,
-            [task_by_instruction(text) for text in request.instructions],
-            request.max_frames,
-        )
-
     def _finish(self, index: int, request: EpisodeRequest, key: str | None,
                 traces: list[EpisodeTrace], results: dict[int, ServedResult]) -> None:
         if key is not None:
@@ -481,6 +468,8 @@ class EvaluationService:
         runner's ``should_cancel`` hook, which evicts an expired lane and
         refills its slot -- the batch never waits for a doomed lane.
         """
+        from repro.analysis.evaluation import build_lane
+
         pending: dict[int, tuple[int, _Admission, str | None]] = {}
 
         def admissions():
@@ -488,7 +477,7 @@ class EvaluationService:
                 if self._expired(admission):
                     self._timeout(index, admission, results)
                     continue
-                env, lane = self._lane_for(admission.request)
+                env, lane = build_lane(admission.spec)
                 pending[id(lane)] = (index, admission, key)
                 yield env, lane
 
@@ -516,16 +505,16 @@ class EvaluationService:
     def _roll_pooled(self, misses, results) -> None:
         """Multi-process path: every chunk in flight on the leased pool.
 
-        Misses group by everything a :class:`~repro.analysis.parallel.
-        LaneChunk` fixes per chunk (system, layout, seed, frame budget);
-        each group shards across the workers by explicit lane indices, and
-        *all* chunks from *all* groups dispatch asynchronously before any
-        result is collected -- the pool's queue keeps every worker busy for
-        the whole drain.  Dispatch runs under the pool's reliable path
-        (per-chunk retry, backoff, respawn); if the pool still exhausts its
-        retry budget the drain **degrades** to the in-process engine --
-        logged and counted in ``stats()``, and byte-identical because both
-        engines key lane randomness the same way.
+        The live misses, in priority order, shard straight into one
+        :class:`~repro.analysis.parallel.LaneChunk` of lane specs per worker:
+        a chunk mixes systems, seeds, layouts and frame budgets, and *all*
+        chunks dispatch asynchronously before any result is collected -- the
+        pool's queue keeps every worker busy for the whole drain.  Dispatch
+        runs under the pool's reliable path (per-chunk retry, backoff,
+        respawn); if the pool still exhausts its retry budget the drain
+        **degrades** to the in-process engine -- logged and counted in
+        ``stats()``, and byte-identical because both engines key lane
+        randomness the same way.
         """
         from repro.analysis.parallel import LaneChunk, shard_lanes
 
@@ -539,30 +528,14 @@ class EvaluationService:
         if not live:
             return
 
-        groups: dict[tuple, list[tuple[int, _Admission, str | None]]] = {}
-        for miss in live:
-            request = miss[1].request
-            group = (request.system, request.layout, request.seed, request.max_frames)
-            groups.setdefault(group, []).append(miss)
-
-        shards: list[list[tuple[int, _Admission, str | None]]] = []
-        chunks: list[LaneChunk] = []
-        for (system, layout_name, seed, max_frames), members in groups.items():
-            for start, stop in shard_lanes(len(members), self.workers):
-                shard = members[start:stop]
-                shards.append(shard)
-                chunks.append(LaneChunk(
-                    system=system,
-                    layout=_resolve_layout(layout_name),
-                    seed=seed,
-                    lane_start=0,
-                    instructions=tuple(
-                        entry[1].request.instructions for entry in shard
-                    ),
-                    fleet_size=DEFAULT_FLEET_SIZE,
-                    max_frames=max_frames,
-                    lane_indices=tuple(entry[1].request.lane for entry in shard),
-                ))
+        shards = [live[start:stop] for start, stop in shard_lanes(len(live), self.workers)]
+        chunks = [
+            LaneChunk(
+                specs=tuple(admission.spec for _, admission, _ in shard),
+                fleet_size=DEFAULT_FLEET_SIZE,
+            )
+            for shard in shards
+        ]
         try:
             chunk_results = self._pool.run_chunks_reliably(
                 chunks,

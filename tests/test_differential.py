@@ -1,0 +1,199 @@
+"""One differential test across the entry points that roll evaluation lanes.
+
+The determinism contract: a lane's traces and estimate depend only on its
+:class:`~repro.analysis.evaluation.LaneSpec` (system, layout, seed, global
+lane index, instructions, frame budget) and the weights -- not on the fleet
+it shares, its position there, the worker that rolls it or the cache that
+serves it.  The reference rolls every spec of a fixed set alone, in a fleet
+of one; each entry point must reproduce every lane it rolls byte for byte:
+
+* ``evaluate_all_systems`` (all seven systems' lanes as mixed fleets) at
+  fleet sizes 1, 7 and 128 and ``workers`` 1 and 2, with a cache cold and
+  then warm;
+* ``run_sharded`` over the whole set at ``workers=2``, its chunks mixing
+  systems, seeds, layouts and frame budgets;
+* ``EvaluationService`` at ``workers`` 1 and 2, cold and then warm, with
+  every request in one drain, so its fleet (in-process) or its pool chunks
+  (pooled) mix systems.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from repro.analysis.evaluation import (
+    JOB_LENGTH,
+    LaneSpec,
+    TrainedPolicies,
+    evaluate_all_systems,
+    lane_estimates,
+    roll_specs,
+)
+from repro.analysis.parallel import run_sharded, shutdown_pools
+from repro.serving.cache import ResultCache, encode_traces
+from repro.serving.service import EpisodeRequest, EvaluationService
+from repro.sim.tasks import sample_job
+from repro.sim.world import SEEN_LAYOUT, UNSEEN_LAYOUT
+
+SYSTEMS = ("roboflamingo", "corki-1", "corki-3", "corki-5", "corki-7", "corki-9", "corki-adap")
+# One evaluate_all_systems call per (seed, layout): three seeds, both layouts.
+SWEEPS = ((3, SEEN_LAYOUT), (4, UNSEEN_LAYOUT), (5, SEEN_LAYOUT))
+JOBS = 2
+SHORT_FRAMES = 90
+
+
+def sweep_specs(seed, layout) -> list[LaneSpec]:
+    """The specs ``evaluate_all_systems(layout, JOBS, seed)`` rolls, in its
+    system-major order: every system on the same jobs."""
+    job_rng = np.random.default_rng(seed)
+    jobs = [
+        tuple(task.instruction for task in sample_job(job_rng, JOB_LENGTH))
+        for _ in range(JOBS)
+    ]
+    return [
+        LaneSpec(system, layout, seed, lane, job)
+        for system in SYSTEMS
+        for lane, job in enumerate(jobs)
+    ]
+
+
+SWEEP_SPECS = [spec for seed, layout in SWEEPS for spec in sweep_specs(seed, layout)]
+# The fixed set: every sweep lane at the full 150-frame budget, and the
+# unseen-layout sweep's lanes again at 90 frames.
+SPECS = SWEEP_SPECS + [
+    dataclasses.replace(spec, max_frames=SHORT_FRAMES)
+    for spec in sweep_specs(*SWEEPS[1])
+]
+
+
+def lane_output(traces, estimate) -> bytes:
+    """One lane's traces (the result cache's encoding) and its estimate."""
+    estimate_json = json.dumps(None if estimate is None else estimate.to_json(), sort_keys=True)
+    return encode_traces(traces) + estimate_json.encode()
+
+
+def priced(spec: LaneSpec, traces) -> bytes:
+    """``lane_output`` with the estimate priced from the traces alone."""
+    steps = [step for trace in traces for step in trace.executed_steps]
+    [estimate] = lane_estimates(spec.system, [steps], spec.seed, [spec.lane])
+    return lane_output(traces, estimate)
+
+
+@pytest.fixture(scope="module")
+def trained(tiny_policies):
+    baseline, corki, _ = tiny_policies
+    return TrainedPolicies(baseline, corki, demos_per_task=3, epochs=1)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _teardown_pools():
+    yield
+    shutdown_pools()
+
+
+@pytest.fixture(scope="module")
+def reference(trained) -> list[bytes]:
+    """Every spec rolled alone, in a fleet of one."""
+    return [priced(spec, roll_specs(trained, [spec], fleet_size=1)[0]) for spec in SPECS]
+
+
+def split_lanes(evaluation) -> list[tuple[list, object]]:
+    """A ``SystemEvaluation``'s ``(traces, estimate)`` per lane: a job stops
+    at its first failed task, so lane ``k`` holds ``completed[k]`` traces,
+    plus the failed one unless all ``JOB_LENGTH`` succeeded."""
+    lanes = []
+    offset = 0
+    for lane, completed in enumerate(evaluation.completed_counts):
+        attempted = completed if completed == JOB_LENGTH else completed + 1
+        lanes.append((evaluation.traces[offset : offset + attempted], evaluation.estimates[lane]))
+        offset += attempted
+    assert offset == len(evaluation.traces)
+    return lanes
+
+
+def sweep(trained, fleet_size, workers) -> dict[int, bytes]:
+    """``evaluate_all_systems`` over every sweep, cold then warm; the warm
+    pass must be served from the cache alone and equal the cold one."""
+    cache = ResultCache()
+    passes = []
+    for _ in ("cold", "warm"):
+        outputs: dict[int, bytes] = {}
+        for seed, layout in SWEEPS:
+            results = evaluate_all_systems(
+                trained, layout, JOBS, seed,
+                fleet_size=fleet_size, workers=workers, cache=cache,
+            )
+            for system in SYSTEMS:
+                for traces, estimate in split_lanes(results[system]):
+                    index = len(outputs)  # results read in SWEEP_SPECS order
+                    spec = SPECS[index]
+                    assert (spec.system, spec.seed) == (system, seed) and spec.layout is layout
+                    outputs[index] = lane_output(traces, estimate)
+        passes.append(outputs)
+    assert cache.misses == len(SWEEP_SPECS)
+    assert cache.hits == len(SWEEP_SPECS)
+    cold, warm = passes
+    assert warm == cold
+    return cold
+
+
+def sharded(trained) -> dict[int, bytes]:
+    rolled = run_sharded(trained, SPECS, fleet_size=7, workers=2)
+    return {index: priced(spec, traces) for index, (spec, traces) in enumerate(zip(SPECS, rolled))}
+
+
+def served(trained, workers) -> dict[int, bytes]:
+    """Every spec as one request, all in one drain; then the same drain
+    again, which the service's cache must answer alone."""
+    requests = [
+        EpisodeRequest(
+            system=spec.system,
+            instructions=spec.instructions,
+            seed=spec.seed,
+            lane=spec.lane,
+            layout=spec.layout.name,
+            max_frames=spec.max_frames,
+        )
+        for spec in SPECS
+    ]
+    with EvaluationService(trained, workers=workers) as service:
+        cold = service.serve(requests)
+        warm = service.serve(requests)
+    assert all(result.ok and not result.cached for result in cold)
+    assert all(result.ok and result.cached for result in warm)
+    outputs = {}
+    for index, (first, again) in enumerate(zip(cold, warm)):
+        outputs[index] = lane_output(first.traces, first.estimate)
+        assert lane_output(again.traces, again.estimate) == outputs[index]
+    return outputs
+
+
+ENTRY_POINTS = {
+    **{
+        f"sweep-fleet{fleet_size}-workers{workers}": (
+            lambda trained, fleet_size=fleet_size, workers=workers: sweep(trained, fleet_size, workers)
+        )
+        for fleet_size in (1, 7, 128)
+        for workers in (1, 2)
+    },
+    "run_sharded-workers2": sharded,
+    "service-workers1": lambda trained: served(trained, 1),
+    "service-workers2": lambda trained: served(trained, 2),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_lane_matches_its_lane_rolled_alone(trained, reference, entry):
+    outputs = ENTRY_POINTS[entry](trained)
+    expected = SWEEP_SPECS if entry.startswith("sweep") else SPECS
+    assert sorted(outputs) == list(range(len(expected)))
+    for index, output in outputs.items():
+        spec = SPECS[index]
+        assert output == reference[index], (
+            f"{entry}: {spec.system} seed {spec.seed} {spec.layout.name} lane {spec.lane} "
+            f"({spec.max_frames} frames) differs from the lane rolled alone"
+        )

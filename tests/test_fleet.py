@@ -23,7 +23,14 @@ import numpy as np
 import pytest
 from frozen_fleet import FrozenFleetRunner, _decide_steps
 
-from repro.analysis.evaluation import build_lane
+import repro.analysis.evaluation as evaluation
+from repro.analysis.evaluation import (
+    LaneSpec,
+    TrainedPolicies,
+    build_lane,
+    evaluate_all_systems,
+    evaluate_system,
+)
 from repro.core.fleet import _adaptive_steps
 from repro.core import (
     VARIATIONS,
@@ -553,12 +560,20 @@ def _lane_systems(system):
 
 
 def _admissions(system):
-    """Fresh ``(env, lane)`` pairs, keyed like ``evaluate_system``'s lanes."""
+    """Fresh ``(env, lane)`` pairs, keyed like ``evaluate_system``'s lanes.
+
+    ``build_lane`` resolves a spec's instructions in the registry; the
+    reference jobs' tasks carry the ``_moved`` predicate, so they replace
+    the resolved tasks."""
     jobs = _reference_jobs()
-    return [
-        build_lane(name, SEEN_LAYOUT, REFERENCE_SEED, lane, jobs[lane], REFERENCE_FRAMES)
-        for lane, name in enumerate(_lane_systems(system))
-    ]
+    admissions = []
+    for lane, name in enumerate(_lane_systems(system)):
+        instructions = tuple(task.instruction for task in jobs[lane])
+        env, fleet_lane = build_lane(
+            LaneSpec(name, SEEN_LAYOUT, REFERENCE_SEED, lane, instructions, REFERENCE_FRAMES)
+        )
+        admissions.append((env, replace(fleet_lane, tasks=list(jobs[lane]))))
+    return admissions
 
 
 def _roll(runner_cls, policies, system, fleet_size):
@@ -710,3 +725,41 @@ class TestWorkCounters:
             admissions = _admissions("corki-5")[:3]
             runner.run([env for env, _ in admissions], [lane for _, lane in admissions])
         assert runner.counters.admissions == 6
+
+    def test_sweep_fleets_carry_more_rows_per_call(self, tiny_policies, monkeypatch):
+        """``evaluate_all_systems`` rolls the seven systems' lanes as mixed
+        fleets, so over one seed its Corki plan and baseline calls carry at
+        least 1.5x the rows per call of seven ``evaluate_system`` calls, for
+        the same rows in all."""
+        baseline, corki, _ = tiny_policies
+        policies = TrainedPolicies(baseline, corki, demos_per_task=3, epochs=1)
+        runners = []
+
+        class RecordingRunner(FleetRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        monkeypatch.setattr(evaluation, "FleetRunner", RecordingRunner)
+
+        def rows_and_calls(roll) -> tuple[int, int]:
+            runners.clear()
+            roll()
+            counters = [runner.counters for runner in runners]
+            return (
+                sum(count.traj_rows + count.baseline_rows for count in counters),
+                sum(count.traj_calls + count.baseline_calls for count in counters),
+            )
+
+        seed, jobs = 11, 8
+        mixed_rows, mixed_calls = rows_and_calls(
+            lambda: evaluate_all_systems(policies, SEEN_LAYOUT, jobs, seed, systems=list(SYSTEMS))
+        )
+        alone_rows, alone_calls = rows_and_calls(
+            lambda: [evaluate_system(policies, name, SEEN_LAYOUT, jobs, seed) for name in SYSTEMS]
+        )
+        assert mixed_rows == alone_rows
+        assert 2 * mixed_rows * alone_calls >= 3 * alone_rows * mixed_calls, (
+            f"{mixed_rows}/{mixed_calls} rows per call mixed, "
+            f"{alone_rows}/{alone_calls} one system at a time"
+        )

@@ -25,7 +25,7 @@ import pytest
 import repro.analysis.evaluation as evaluation
 import repro.analysis.parallel as parallel
 from repro.analysis.evaluation import (
-    SystemEvaluation,
+    LaneSpec,
     TrainedPolicies,
     evaluate_all_systems,
     evaluate_system,
@@ -33,7 +33,6 @@ from repro.analysis.evaluation import (
     expert_oracle_families,
     lane_generators,
 )
-from repro.analysis.metrics import job_statistics
 from repro.analysis.parallel import (
     EvaluationPool,
     archive_policies,
@@ -46,7 +45,8 @@ from repro.analysis.parallel import (
 )
 from repro.serving.cache import policy_digest
 from repro.sim.dataset import ActionNormalizer
-from repro.sim.tasks import TASK_FAMILIES, Task
+from repro.core.runner import EpisodeTrace
+from repro.sim.tasks import TASK_FAMILIES
 from repro.sim.world import SEEN_LAYOUT
 
 
@@ -197,10 +197,10 @@ class TestShardedEvaluation:
             assert_traces_equal(a, b)
 
     def test_family_matrix_identical_across_workers(self, trained):
-        sequential = evaluate_system_families(
+        sequential, _ = evaluate_system_families(
             trained, "roboflamingo", SEEN_LAYOUT, episodes_per_task=1, workers=1
         )
-        sharded = evaluate_system_families(
+        sharded, _ = evaluate_system_families(
             trained, "roboflamingo", SEEN_LAYOUT, episodes_per_task=1, workers=2
         )
         assert set(sharded) == set(TASK_FAMILIES)
@@ -209,16 +209,11 @@ class TestShardedEvaluation:
     @staticmethod
     def _crash_sharded(trained):
         """Dispatch a chunk whose instruction cannot resolve in a worker."""
-        ghost = Task(
-            instruction="summon a task nobody registered",
-            family="ghost",
-            prepare=lambda scene, rng: None,
-            success=lambda before, after: False,
-            expert=lambda scene: [],
-        )
+        ghost = ("summon a task nobody registered",)
         run_sharded(
-            trained, "roboflamingo", SEEN_LAYOUT, seed=1,
-            lane_jobs=[[ghost], [ghost]], fleet_size=32, workers=2,
+            trained,
+            [LaneSpec("roboflamingo", SEEN_LAYOUT, 1, lane, ghost) for lane in range(2)],
+            fleet_size=32, workers=2,
         )
 
     def test_worker_crash_surfaces_an_error(self, trained):
@@ -229,10 +224,7 @@ class TestShardedEvaluation:
 
     def test_zero_lanes_yields_empty_result_without_spawning(self, trained):
         """Matches the in-process path: no lanes -> no traces, no pool."""
-        assert run_sharded(
-            trained, "roboflamingo", SEEN_LAYOUT, seed=1,
-            lane_jobs=[], fleet_size=32, workers=2,
-        ) == []
+        assert run_sharded(trained, [], fleet_size=32, workers=2) == []
 
     def test_pool_survives_a_failed_chunk(self, trained):
         """After a chunk failure the cached pool still serves good chunks."""
@@ -310,23 +302,29 @@ class TestCorkiSwCopies:
     def test_corki_sw_lists_are_independent(self, monkeypatch):
         """Regression: corki-sw aliased corki-5's trace/count *list objects*,
         so mutating one silently corrupted the other."""
+        systems = ["roboflamingo", *evaluation.VARIATIONS]
 
-        def fake_evaluate_system(policies, system, layout, jobs, seed=1234, **kwargs):
-            return SystemEvaluation(
-                name=system,
-                job_stats=job_statistics([2], 5),
-                traces=[f"trace-of-{system}"],
-                completed_counts=[2],
-            )
+        def fake_roll_specs(policies, specs, fleet_size):
+            """One successful episode per lane; its frame count tags the system."""
+            return [
+                [EpisodeTrace(
+                    success=True, frames=systems.index(spec.system) + 2,
+                    executed_steps=[1], ee_path=np.zeros((1, 6)),
+                    reference_path=np.zeros((1, 6)), gripper_path=np.zeros(1),
+                )]
+                for spec in specs
+            ]
 
-        monkeypatch.setattr(evaluation, "evaluate_system", fake_evaluate_system)
+        monkeypatch.setattr(evaluation, "roll_specs", fake_roll_specs)
         results = evaluate_all_systems(None, SEEN_LAYOUT, jobs=1)
         corki5, corki_sw = results["corki-5"], results["corki-sw"]
+        assert [trace.frames for trace in corki5.traces] == [systems.index("corki-5") + 2]
         assert corki_sw.traces == corki5.traces
         assert corki_sw.completed_counts == corki5.completed_counts
         assert corki_sw.traces is not corki5.traces
         assert corki_sw.completed_counts is not corki5.completed_counts
+        corki5_traces = list(corki5.traces)
         corki_sw.traces.append("mutation")
         corki_sw.completed_counts.append(0)
-        assert corki5.traces == ["trace-of-corki-5"]
-        assert corki5.completed_counts == [2]
+        assert corki5.traces == corki5_traces
+        assert corki5.completed_counts == [1]

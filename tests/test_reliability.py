@@ -21,6 +21,7 @@ import pytest
 from repro.analysis import parallel
 from repro.analysis.evaluation import (
     JOB_LENGTH,
+    LaneSpec,
     TrainedPolicies,
     evaluate_system,
     roll_lane_chunk,
@@ -46,7 +47,7 @@ from repro.reliability import (
 )
 from repro.serving.__main__ import main as serve_main
 from repro.serving.cache import ResultCache
-from repro.serving.service import EpisodeRequest, EvaluationService
+from repro.serving.service import EpisodeRequest, EvaluationService, _lane_spec
 from repro.sim.world import SEEN_LAYOUT
 
 SEED = 77
@@ -80,6 +81,14 @@ def reference(trained):
 def lane_jobs_for(seed: int, count: int):
     job_rng = np.random.default_rng(seed)
     return [sample_job(job_rng, JOB_LENGTH) for _ in range(count)]
+
+
+def lane_specs_for(seed: int, count: int) -> list[LaneSpec]:
+    """The ``lane_jobs_for`` jobs as corki-5 lane specs, lane ``k`` at ``k``."""
+    return [
+        LaneSpec("corki-5", SEEN_LAYOUT, seed, lane, tuple(task.instruction for task in job))
+        for lane, job in enumerate(lane_jobs_for(seed, count))
+    ]
 
 
 def job_requests(system: str, seed: int, count: int) -> list[EpisodeRequest]:
@@ -229,8 +238,7 @@ class TestCrashRecovery:
         plan = FaultPlan(seed=5, crash_rate=1.0, faulted_attempts=99)
         with pytest.raises(PoolUnhealthy) as failure:
             run_sharded(
-                trained, "corki-5", SEEN_LAYOUT, SEED, lane_jobs_for(SEED, JOBS),
-                fleet_size=32, workers=2,
+                trained, lane_specs_for(SEED, JOBS), fleet_size=32, workers=2,
                 retry=RetryPolicy(max_attempts=2, base_delay=0.0), fault_plan=plan,
             )
         assert "injected worker crash" in str(failure.value.__cause__)
@@ -239,14 +247,12 @@ class TestCrashRecovery:
         """A genuine bug (unknown instruction) propagates unchanged on the
         first attempt -- retries are for transient failures only."""
 
-        class GhostTask:
-            instruction = "summon a task that does not exist"
-
+        ghost = ("summon a task that does not exist",)
         before = dataclasses.replace(shared_pool_health(trained))
         with pytest.raises(KeyError, match="unknown instruction"):
             run_sharded(
-                trained, "corki-5", SEEN_LAYOUT, SEED,
-                [[GhostTask()], [GhostTask()]],
+                trained,
+                [LaneSpec("corki-5", SEEN_LAYOUT, SEED, lane, ghost) for lane in range(2)],
                 fleet_size=32, workers=2, retry=NO_BACKOFF,
             )
         assert shared_pool_health(trained).retries == before.retries
@@ -258,8 +264,7 @@ class TestCrashRecovery:
         jobs = lane_jobs_for(SEED, 2)
         before = dataclasses.replace(shared_pool_health(trained))
         merged = run_sharded(
-            trained, "corki-5", SEEN_LAYOUT, SEED, jobs,
-            fleet_size=32, workers=2, retry=NO_BACKOFF,
+            trained, lane_specs_for(SEED, 2), fleet_size=32, workers=2, retry=NO_BACKOFF,
             fault_plan=FaultPlan(seed=3, crash_rate=1.0, hard_crash=True),
             chunk_timeout=8.0,
         )
@@ -278,17 +283,7 @@ class TestCrashRecovery:
 
 def reference_chunk() -> LaneChunk:
     """The ``reference`` fixture's lanes as one pool chunk."""
-    return LaneChunk(
-        system="corki-5",
-        layout=SEEN_LAYOUT,
-        seed=SEED,
-        lane_start=0,
-        instructions=tuple(
-            tuple(task.instruction for task in job)
-            for job in lane_jobs_for(SEED, JOBS)
-        ),
-        fleet_size=32,
-    )
+    return LaneChunk(specs=tuple(lane_specs_for(SEED, JOBS)), fleet_size=32)
 
 
 def returns_within(seconds, call):
@@ -503,7 +498,9 @@ class TestDeadlines:
         service = EvaluationService(trained, workers=1)
         request = job_requests("corki-5", SEED, 1)[0]
         relaxed = dataclasses.replace(request, deadline_ms=1e9)
-        assert service._key(request) == service._key(relaxed)
+        assert service.cache.lane_key(trained, _lane_spec(request)) == (
+            service.cache.lane_key(trained, _lane_spec(relaxed))
+        )
 
 
 # -- admission control ---------------------------------------------------------

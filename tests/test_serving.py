@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.evaluation import (
     JOB_LENGTH,
+    LaneSpec,
     TrainedPolicies,
     evaluate_system,
 )
@@ -41,7 +42,7 @@ from repro.serving.service import (
 )
 from repro.sim.env import ManipulationEnv
 from repro.sim.tasks import TASKS, sample_job
-from repro.sim.world import SEEN_LAYOUT
+from repro.sim.world import SEEN_LAYOUT, UNSEEN_LAYOUT
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,20 @@ class TestCacheKeys:
         assert key != result_key(**{**base, "lane": 1})
         assert key != result_key(**{**base, "instructions": ("open the drawer",)})
         assert key != result_key(**base, max_frames=10)
+
+    def test_key_format_is_pinned(self, trained):
+        """Result-cache directories outlive the code that wrote them, so the
+        key's layout is frozen: this hex must never change.  A lane spec's
+        key is ``result_key`` over the spec's fields."""
+        job = ("lift the red block", "open the drawer")
+        assert result_key(
+            "ab" * 32, "corki-adap", "unseen", 1234, 17, job, max_frames=90,
+            registry_size=34, raw_feature_dim=38, observation_dim=48,
+        ) == "c315656877acb2fde614948f1537da2754d02e9e1972ce1ef325b1eaac2d921e"
+        spec = LaneSpec("corki-adap", UNSEEN_LAYOUT, 1234, 17, job, max_frames=90)
+        assert ResultCache().lane_key(trained, spec) == result_key(
+            policy_digest(trained), "corki-adap", "unseen", 1234, 17, job, max_frames=90
+        )
 
 
 # -- cache storage -------------------------------------------------------------
@@ -233,7 +248,8 @@ class TestEvaluateSystemCache:
         job_rng = np.random.default_rng(7)
         jobs = [sample_job(job_rng, JOB_LENGTH) for _ in range(4)]
         for lane in (0, 2):
-            key = cache.lane_key(trained, "corki-5", SEEN_LAYOUT, 7, lane, jobs[lane])
+            instructions = tuple(task.instruction for task in jobs[lane])
+            key = cache.lane_key(trained, LaneSpec("corki-5", SEEN_LAYOUT, 7, lane, instructions))
             (tmp_path / f"{key}.npz").write_bytes(b"corrupt")
         fresh = ResultCache(directory=tmp_path)
         rerolled = evaluate_system(

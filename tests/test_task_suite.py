@@ -415,12 +415,13 @@ class TestFamilyReports:
 
         baseline, corki, _ = tiny_policies
         policies = TrainedPolicies(baseline, corki, demos_per_task=3, epochs=1)
-        small = evaluate_system_families(
+        small, small_estimates = evaluate_system_families(
             policies, "corki-5", SEEN_LAYOUT, episodes_per_task=1, fleet_size=5
         )
-        large = evaluate_system_families(
+        large, large_estimates = evaluate_system_families(
             policies, "corki-5", SEEN_LAYOUT, episodes_per_task=1, fleet_size=64
         )
+        assert small_estimates == large_estimates
         assert set(small) == set(TASK_FAMILIES)
         for family in TASK_FAMILIES:
             assert small[family].episodes == len(tasks_by_family(family))
