@@ -10,9 +10,10 @@ A lane is described by one record, :class:`LaneSpec` (system, layout, seed,
 global lane index, instructions, frame budget), and every roll goes through
 :func:`roll_specs`: each spec becomes one fleet lane with its own
 environment and feedback generator (seeded from ``(seed, lane)`` so results
-stay paired across systems and deterministic across runs), and lanes
-advance in lock-step with batched policy inference through
-:class:`repro.core.fleet.FleetRunner`.  A fleet may mix systems:
+stay paired across systems and deterministic across runs), and the lanes
+stream through one continuous fleet with batched policy inference
+(:meth:`repro.core.fleet.FleetRunner.run_continuous`): a lane that retires
+hands its slot to the next spec on the next tick.  A fleet may mix systems:
 :func:`evaluate_all_systems` rolls every system's lanes together.
 ``fleet_size`` caps how many lanes fly at once, counted across systems, and
 ``workers`` shards the specs across OS processes
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.nn.serialization import load_module, save_module
 from repro.pipeline.estimate import PipelineEstimate, estimate_lanes
 from repro.sim.camera import OBSERVATION_DIM, RAW_FEATURE_DIM
 from repro.sim.dataset import ActionNormalizer, collect_demonstrations, roll_expert_episodes
-from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, BatchedManipulationEnv, ManipulationEnv
+from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, ManipulationEnv
 from repro.sim.tasks import TASK_FAMILIES, TASKS, sample_job, task_by_instruction
 from repro.sim.world import SEEN_LAYOUT, SceneLayout
 
@@ -228,26 +229,35 @@ def build_lane(spec: LaneSpec) -> tuple[ManipulationEnv, FleetLane]:
 
 
 def roll_specs(
-    policies: TrainedPolicies,
+    runner: FleetRunner,
     specs: Sequence[LaneSpec],
     fleet_size: int = DEFAULT_FLEET_SIZE,
-) -> list[list[EpisodeTrace]]:
-    """Roll lane specs in fleets of ``fleet_size``; one trace list per spec.
+    expired: Callable[[int], bool] | None = None,
+) -> list[list[EpisodeTrace] | None]:
+    """Stream lane specs through one continuous fleet; traces in spec order.
 
-    Specs may mix systems, layouts, seeds and frame budgets: each lane's
-    randomness comes from :func:`lane_generators` at its *global* index and
-    fleet numerics are fleet-size invariant, so a lane's bytes depend on
-    neither its fleet-mates nor its position.  This is the unit of work
-    both the in-process path and the :mod:`repro.analysis.parallel` worker
-    processes execute -- sharded and sequential evaluation run literally the
-    same code.
+    Up to ``fleet_size`` lanes fly at once, counted across systems; a
+    retired lane's slot takes the next spec on the next tick, and a lane is
+    built only when it takes a slot.  Specs may mix systems, layouts, seeds
+    and frame budgets: each lane's randomness comes from
+    :func:`lane_generators` at its *global* index and fleet numerics are
+    fleet-size invariant, so a lane's bytes depend on neither its
+    fleet-mates nor its slot.  Evaluation, the
+    :mod:`repro.analysis.parallel` workers and the serving tier's
+    in-process drain all roll here.
+
+    ``expired(k)`` is asked before spec ``k`` takes a slot and at every
+    inference boundary; a spec it votes off is evicted and gets ``None``.
+    The caller owns ``runner``, whose counters count across calls.
     """
-    runner = FleetRunner(baseline=policies.baseline, corki=policies.corki)
-    per_lane: list[list[EpisodeTrace]] = []
-    chunk = max(1, fleet_size)
-    for start in range(0, len(specs), chunk):
-        envs, lanes = zip(*(build_lane(spec) for spec in specs[start : start + chunk]))
-        per_lane.extend(runner.run(BatchedManipulationEnv(list(envs)), list(lanes)))
+    per_lane: list[list[EpisodeTrace] | None] = [None] * len(specs)
+
+    def admissions():
+        for index, spec in enumerate(specs):
+            if expired is None or not expired(index):
+                yield (index, *build_lane(spec))
+
+    runner.run_continuous(admissions(), max(1, fleet_size), per_lane.__setitem__, expired)
     return per_lane
 
 
@@ -266,7 +276,7 @@ def roll_lane_chunk(
     the block's specs, rolled by :func:`roll_specs`.
     """
     return roll_specs(
-        policies,
+        FleetRunner(policies.baseline, policies.corki),
         [
             LaneSpec(system, layout, seed, lane_start + offset, _instructions(tasks))
             for offset, tasks in enumerate(lane_jobs)
@@ -310,7 +320,8 @@ def _roll(
     if misses:
         todo = [specs[index] for index in misses]
         if workers <= 1:
-            rolled = roll_specs(policies, todo, fleet_size)
+            runner = FleetRunner(policies.baseline, policies.corki)
+            rolled = roll_specs(runner, todo, fleet_size)
         else:
             from repro.analysis.parallel import run_sharded
 
@@ -403,9 +414,9 @@ def evaluate_all_systems(
     """Evaluate the baseline and every Corki variation on one layout.
 
     Every system rolls the same ``jobs`` jobs, sampled once from ``seed``:
-    Tbl. 1's paired comparison.  All systems' lanes roll together, as mixed
-    fleets of ``fleet_size`` lanes (``fleet_size`` counts lanes across
-    systems), and split back by system; see :func:`evaluate_system` for
+    Tbl. 1's paired comparison.  All systems' lanes roll together, through
+    one mixed fleet of ``fleet_size`` slots (``fleet_size`` counts lanes
+    across systems), and split back by system; see :func:`evaluate_system` for
     ``workers``, ``cache`` and the fault-tolerance knobs.
 
     Corki-SW shares Corki-5's episodes (the paper: accuracy is identical
@@ -519,8 +530,8 @@ def evaluate_system_families(
     """Per-family success matrix row for one system (the Tbl. 2-style view).
 
     Every registry task runs ``episodes_per_task`` single-task episodes as
-    fleet lanes, rolled through :class:`FleetRunner` in ``fleet_size``
-    chunks (sharded across processes when ``workers > 1``).  Lane seeding
+    fleet lanes, streamed through ``fleet_size`` slots by :func:`roll_specs`
+    (sharded across processes when ``workers > 1``).  Lane seeding
     follows :func:`evaluate_system` -- ``(seed, lane)`` derived generators --
     so the matrix is deterministic, fleet-size invariant and worker-count
     invariant.  Returns the cells and the per-lane latency/energy estimates

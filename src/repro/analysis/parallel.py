@@ -1,9 +1,10 @@
 """Multi-process sharded fleet evaluation: the scale-out path.
 
-:mod:`repro.analysis.evaluation` rolls jobs as fleet lanes in sequential
-``fleet_size`` chunks.  This module lifts that loop across OS processes: the
-lane space is split into contiguous shards, each shard ships to a worker as
-a :class:`LaneChunk` of lane specs
+:mod:`repro.analysis.evaluation` streams lane specs through one continuous
+fleet of ``fleet_size`` slots (:func:`~repro.analysis.evaluation.roll_specs`).
+This module lifts that roll across OS processes:
+:meth:`EvaluationPool.roll_specs` splits the specs into contiguous shards,
+each shard ships to a worker as a :class:`LaneChunk` of lane specs
 (:class:`~repro.analysis.evaluation.LaneSpec`), and the workers execute *the
 same* :func:`repro.analysis.evaluation.roll_specs` the in-process path runs.
 A chunk may mix systems, layouts, seeds and frame budgets.  Because every
@@ -48,8 +49,8 @@ The pool is cached per (policies, worker count) so every evaluation a run
 makes with the same trained policies (Tbl. 1 and 2's sweeps, the family
 matrix) pays the spawn cost once; :func:`lease_pool` hands the same warm
 pool to long-lived callers (the :mod:`repro.serving` evaluation service
-keeps one leased between requests and dispatches each drain's chunks
-through :meth:`EvaluationPool.run_chunks_reliably`).
+keeps one leased between requests and rolls each drain's misses through
+:meth:`EvaluationPool.roll_specs`, the method :func:`run_sharded` calls).
 
 Determinism guarantees of this module: worker-side rollouts are bitwise
 equal to parent-side rollouts (spawned interpreters, npz-exact policy
@@ -75,6 +76,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from repro.core.fleet import FleetRunner
 from repro.core.runner import EpisodeTrace
 from repro.nn.serialization import load_state_dict, state_dict
 from repro.reliability.faults import (
@@ -266,8 +268,8 @@ def load_archive(path) -> PolicyArchive:
 
 @dataclass(frozen=True)
 class LaneChunk:
-    """One worker's share of a roll: lane specs, rolled by ``roll_specs``
-    in fleets of ``fleet_size``.
+    """One worker's share of a roll: lane specs, streamed by ``roll_specs``
+    through ``fleet_size`` slots.
 
     The specs may mix systems, layouts, seeds and frame budgets.  Each
     carries its global lane index, on which its randomness keys, so how the
@@ -341,7 +343,8 @@ def _run_lane_chunk(chunk: LaneChunk) -> list[list[EpisodeTrace]]:
     _raise_restore_error()
     if _WORKER_POLICIES is None:
         raise RuntimeError("worker pool was started without a policy archive")
-    return roll_specs(_WORKER_POLICIES, chunk.specs, chunk.fleet_size)
+    runner = FleetRunner(_WORKER_POLICIES.baseline, _WORKER_POLICIES.corki)
+    return roll_specs(runner, chunk.specs, chunk.fleet_size)
 
 
 def _run_faulted_chunk(
@@ -544,6 +547,37 @@ class EvaluationPool:
             pending = failed
         return results
 
+    def roll_specs(
+        self,
+        specs: Sequence[LaneSpec],
+        fleet_size: int,
+        retry: RetryPolicy | None = None,
+        fault_plan: FaultPlan | None = None,
+        chunk_timeout: float | None = None,
+    ) -> list[list[EpisodeTrace]]:
+        """Roll lane specs on the workers; traces merge in spec order.
+
+        One contiguous :class:`LaneChunk` per worker (:func:`shard_lanes`)
+        goes through :meth:`run_chunks_reliably`.  Byte-identical to the
+        in-process ``roll_specs``, also after injected or real worker
+        crashes: a re-rolled chunk keys its randomness on the same global
+        lane indices.
+        """
+        chunks = [
+            LaneChunk(specs=tuple(specs[start:stop]), fleet_size=fleet_size)
+            for start, stop in shard_lanes(len(specs), self.workers)
+        ]
+        results = self.run_chunks_reliably(
+            chunks, retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout
+        )
+        merged = [lane_traces for chunk_result in results for lane_traces in chunk_result]
+        if len(merged) != len(specs):
+            raise RuntimeError(
+                f"sharded evaluation returned {len(merged)} lanes for "
+                f"{len(specs)} specs; a worker dropped lanes"
+            )
+        return merged
+
     def run_oracle_chunks(
         self, chunks: Sequence[OracleChunk]
     ) -> list[list[tuple[str, str, bool]]]:
@@ -654,9 +688,9 @@ def shard_lanes(total: int, workers: int) -> list[tuple[int, int]]:
     workers the surplus workers simply receive no chunk (callers size their
     pools by ``len(shard_lanes(...))``, not by ``workers``).  Splitting is
     pure bookkeeping -- lane randomness is keyed on each spec's global lane
-    index, so *any* partition merges back to the identical result; the
-    evaluation service reuses the same splitter over its live misses, whose
-    specs may mix systems, seeds, layouts and frame budgets.
+    index, so *any* partition merges back to the identical result;
+    :meth:`EvaluationPool.roll_specs` splits every pooled roll with it,
+    specs mixing systems, seeds, layouts and frame budgets.
     """
     workers = max(1, min(workers, total))
     base, extra = divmod(total, workers)
@@ -679,34 +713,14 @@ def run_sharded(
     fault_plan: FaultPlan | None = None,
     chunk_timeout: float | None = None,
 ) -> list[list[EpisodeTrace]]:
-    """Roll lane specs across a worker pool; traces merge in spec order.
-
-    Byte-identical to the in-process
-    :func:`repro.analysis.evaluation.roll_specs` over the same specs --
-    including runs that survive injected or real worker crashes, because
-    re-rolled chunks key their randomness on the same global lane indices
-    (``retry`` / ``fault_plan`` / ``chunk_timeout`` feed
-    :meth:`EvaluationPool.run_chunks_reliably`).
-    """
-    chunks = [
-        LaneChunk(specs=tuple(specs[start:stop]), fleet_size=fleet_size)
-        for start, stop in shard_lanes(len(specs), workers)
-    ]
-    if not chunks:  # zero lanes: same empty result the in-process path yields
+    """Roll lane specs on the cached pool for ``policies``; traces merge in
+    spec order (:meth:`EvaluationPool.roll_specs`)."""
+    if not specs:  # zero lanes: same empty result the in-process path yields
         return []
     # Fewer lanes than workers -> fewer chunks; don't spawn (and archive-
     # restore into) workers that could never receive one.
-    pool = _cached_pool(policies, min(workers, len(chunks)))
-    results = pool.run_chunks_reliably(
-        chunks, retry=retry, fault_plan=fault_plan, chunk_timeout=chunk_timeout
-    )
-    merged = [lane_traces for chunk_result in results for lane_traces in chunk_result]
-    if len(merged) != len(specs):
-        raise RuntimeError(
-            f"sharded evaluation returned {len(merged)} lanes for "
-            f"{len(specs)} specs; a worker dropped lanes"
-        )
-    return merged
+    pool = _cached_pool(policies, min(workers, len(specs)))
+    return pool.roll_specs(specs, fleet_size, retry, fault_plan, chunk_timeout)
 
 
 def run_oracle_sharded(

@@ -42,17 +42,18 @@ Determinism contract: the runner owns no randomness and keeps no state
 across lanes, so a lane's traces are a pure function of its environment
 generator, its :class:`FleetLane` specification and the policy weights --
 never of fleet size, admission order or which other lanes run beside it.
-That invariance is what makes both batch mode (:meth:`FleetRunner.run`) and
-continuous batching (:meth:`FleetRunner.run_continuous`, where a finished
-lane's slot is refilled from an open-ended stream at the next inference
-boundary) interchangeable with single-episode rollouts, byte for byte.
+That invariance is what lets the runner's one loop, continuous batching
+(:meth:`FleetRunner.run_continuous`: a finished lane's slot is refilled
+from a stream of lanes on the next tick), stand in for single-episode
+rollouts byte for byte; :meth:`FleetRunner.run` is its finite case, every
+lane in a slot of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -97,6 +98,8 @@ a median 74.1 requests/s against 59.0 with 32 (nine seeds, every pair won)
 for 7% more peak memory, and an uncapped one (4,096) answered no more, while
 one burst then sizes every per-tick array (``docs/performance.md``, *Fleet
 capacity*).  Results do not depend on it (lanes are fleet-size invariant)."""
+
+Key = TypeVar("Key")  # what a run_continuous caller tags its lanes with
 
 _WINDOW_OFFSETS = np.arange(1 - WINDOW_LENGTH, 1)
 """A Corki window's frames relative to the current one, oldest first."""
@@ -358,10 +361,10 @@ class FleetRunner:
 
     Construct with the policies the lanes reference (a homogeneous fleet
     needs only one of them; mixed fleets are supported) and call
-    :meth:`run`.  The runner owns no randomness -- environments and lanes
-    carry their own generators -- so results are a pure function of the
-    lane specifications.  :attr:`counters` accumulates the runner's work
-    (:class:`FleetCounters`) over every call.
+    :meth:`run` or :meth:`run_continuous`.  The runner owns no randomness
+    -- environments and lanes carry their own generators -- so results are
+    a pure function of the lane specifications.  :attr:`counters`
+    accumulates the runner's work (:class:`FleetCounters`) over every call.
     """
 
     def __init__(
@@ -384,81 +387,69 @@ class FleetRunner:
         self.counters.admissions += 1
 
     def run(
-        self,
-        envs: BatchedManipulationEnv | list[ManipulationEnv],
-        lanes: list[FleetLane],
+        self, envs: list[ManipulationEnv], lanes: list[FleetLane]
     ) -> list[list[EpisodeTrace]]:
         """Run every lane's job to completion; returns traces per lane.
 
-        ``envs`` supplies one environment per lane (a raw list is wrapped in
-        a :class:`BatchedManipulationEnv`).  The result's lane ``i`` holds
-        the attempted-task traces of ``lanes[i]`` in job order, exactly what
-        :func:`repro.core.runner.run_job` returns for the same job.
+        ``envs`` supplies one environment per lane.  The result's lane ``i``
+        holds the attempted-task traces of ``lanes[i]`` in job order, exactly
+        what :func:`repro.core.runner.run_job` returns for the same job.
+        This is the finite case of :meth:`run_continuous`: every lane has a
+        slot of its own, so none waits to be admitted.
         """
-        fleet = (
-            envs
-            if isinstance(envs, BatchedManipulationEnv)
-            else BatchedManipulationEnv(envs)
-        )
-        if len(lanes) != len(fleet):
+        if len(lanes) != len(envs):
             raise ValueError(
-                f"{len(lanes)} lanes need {len(lanes)} environments, got {len(fleet)}"
+                f"{len(lanes)} lanes need {len(lanes)} environments, got {len(envs)}"
             )
-        store = LaneArrays(fleet, self.baseline, self.corki)
-        for slot, lane in enumerate(lanes):
-            self._admit(store, slot, lane)
-        while store.active.any():
-            self._tick(store)
-        return store.traces
+        traces: list[list[EpisodeTrace]] = [[] for _ in lanes]
+        self.run_continuous(
+            zip(range(len(lanes)), envs, lanes), max(1, len(lanes)), traces.__setitem__
+        )
+        return traces
 
     def run_continuous(
         self,
-        source: Iterable[tuple[ManipulationEnv, FleetLane]],
+        source: Iterable[tuple[Key, ManipulationEnv, FleetLane]],
         slots: int,
-        on_complete: Callable[[FleetLane, list[EpisodeTrace]], None],
-        should_cancel: Callable[[FleetLane], bool] | None = None,
-        on_cancel: Callable[[FleetLane, list[EpisodeTrace]], None] | None = None,
+        on_complete: Callable[[Key, list[EpisodeTrace]], None],
+        should_cancel: Callable[[Key], bool] | None = None,
     ) -> int:
-        """Serve an open-ended stream of lanes with **continuous batching**.
+        """Roll a stream of lanes with **continuous batching**.
 
-        ``source`` yields ``(environment, lane)`` admissions; up to ``slots``
-        of them fly at once.  Unlike :meth:`run` -- which admits a fixed
-        fleet and waits for the whole fleet to drain -- a lane that finishes
-        its job here *retires immediately*: its traces are handed to
-        ``on_complete(lane, traces)`` and its slot is refilled from
-        ``source`` at the next inference boundary, so the batched forward
-        passes stay saturated while requests keep arriving.  Admission is a
-        row reset of the slot's :class:`LaneArrays` entries.  This is the
-        admission discipline a request-serving layer needs
-        (:mod:`repro.serving`), and the reason it is safe is the module's
-        determinism contract: lane randomness is lane-private and numerics
-        are fleet-size invariant, so a lane admitted into a half-drained
-        fleet produces byte-identical traces to one rolled in a fresh batch.
+        ``source`` yields ``(key, environment, lane)`` admissions; up to
+        ``slots`` of them fly at once, and the runner keeps each slot's
+        ``key``.  A lane that finishes its job *retires immediately*: its
+        traces go to ``on_complete(key, traces)`` and its slot is refilled
+        from ``source`` before the next tick, so the batched forward passes
+        stay saturated while lanes remain.  Admission is a row reset of the
+        slot's :class:`LaneArrays` entries.  This is the fleet's one
+        admit-and-tick loop, and it is safe because of the module's
+        determinism contract: a lane admitted into a half-drained fleet
+        produces byte-identical traces to one rolled in a fresh batch.
 
-        ``should_cancel(lane)`` is polled at each inference boundary (the
+        ``should_cancel(key)`` is polled at each inference boundary (the
         same tick granularity at which lanes are admitted); a lane it votes
-        off is evicted *before* the tick's forward passes, its slot refilled
-        from ``source``, and its partial traces handed to
-        ``on_cancel(lane, traces)`` instead of ``on_complete``.  This is how
-        the serving tier enforces request deadlines: one expired lane costs
-        the batch a slot-refill, never a stall -- and because lane
+        off is evicted *before* the tick's forward passes and its slot
+        refilled from ``source``; it never reaches ``on_complete``.  This is
+        how the serving tier enforces request deadlines: one expired lane
+        costs the batch a slot-refill, never a stall -- and because lane
         randomness is lane-private, evicting a lane leaves every surviving
         lane's bytes untouched.
 
         Returns the number of lanes served (cancelled lanes are not
         counted).  Completion callbacks fire in retirement order, which
-        depends on episode lengths -- callers that need request order must
-        key results off the ``lane`` object.
+        depends on episode lengths; the key says whose lane retired.
         """
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
-        stream: Iterator[tuple[ManipulationEnv, FleetLane]] = iter(source)
+        stream: Iterator[tuple[Key, ManipulationEnv, FleetLane]] = iter(source)
         admitted = list(islice(stream, slots))
         if not admitted:
             return 0
-        fleet = BatchedManipulationEnv([env for env, _ in admitted])
+        keys = [key for key, _, _ in admitted]
+        fleet = BatchedManipulationEnv([env for _, env, _ in admitted])
         store = LaneArrays(fleet, self.baseline, self.corki)
-        for slot, (_, lane) in enumerate(admitted):
+        for slot, (_, _, lane) in enumerate(admitted):
             self._admit(store, slot, lane)
         served = 0
 
@@ -466,28 +457,23 @@ class FleetRunner:
             store.lanes[slot] = None
             refill = next(stream, None)
             if refill is not None:
-                env, lane = refill
+                keys[slot], env, lane = refill
                 fleet.adopt_lane(slot, env)
                 self._admit(store, slot, lane)
 
         while store.active.any():
             if should_cancel is not None:
                 for slot in np.flatnonzero(store.active).tolist():
-                    lane = store.lanes[slot]
-                    assert lane is not None
-                    if not should_cancel(lane):
-                        continue
-                    if on_cancel is not None:
-                        on_cancel(lane, store.traces[slot])
-                    store.active[slot] = False
-                    refill_slot(slot)
+                    if should_cancel(keys[slot]):
+                        store.active[slot] = False
+                        refill_slot(slot)
                 if not store.active.any():
                     break
             self._tick(store)
-            for slot, lane in enumerate(store.lanes):
-                if lane is None or store.active[slot]:
+            for slot in np.flatnonzero(~store.active).tolist():
+                if store.lanes[slot] is None:
                     continue
-                on_complete(lane, store.traces[slot])
+                on_complete(keys[slot], store.traces[slot])
                 served += 1
                 refill_slot(slot)
         return served
@@ -647,7 +633,7 @@ def _adaptive_steps(
 
 
 def run_baseline_fleet(
-    envs: BatchedManipulationEnv | list[ManipulationEnv],
+    envs: list[ManipulationEnv],
     policy: BaselinePolicy,
     tasks: list[Task],
     actuation: ActuationModel = TRACKING_30HZ,
@@ -668,7 +654,7 @@ def run_baseline_fleet(
 
 
 def run_corki_fleet(
-    envs: BatchedManipulationEnv | list[ManipulationEnv],
+    envs: list[ManipulationEnv],
     policy: CorkiPolicy,
     tasks: list[Task],
     variation: CorkiVariation,

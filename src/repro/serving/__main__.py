@@ -15,8 +15,10 @@ transport.  By default stdin/stdout is its only connection and the process
 exits once stdin ends and every request is answered.  ``--tcp HOST:PORT``
 listens instead; the bound address is announced on stderr
 (``[serving on HOST:PORT]``) so a supervisor -- or the CI smoke job --
-knows when to connect, port ``0`` binds an ephemeral port, and SIGINT
-shuts down cleanly.  Admission control (``--max-pending``), flow control
+knows when to connect, and port ``0`` binds an ephemeral port.  On either
+transport SIGINT or SIGTERM shuts down cleanly: pending requests are
+answered, the worker pool is closed and ``[served N requests]`` goes to
+stderr.  Admission control (``--max-pending``), flow control
 (``--max-inflight``), priorities, deadlines and the ``reload`` op work the
 same on both (see :mod:`repro.serving.server` and ``docs/serving.md``).
 
@@ -34,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
+import threading
 
 from repro.core.fleet import DEFAULT_FLEET_SIZE
 
@@ -188,6 +192,15 @@ def main(argv: list[str] | None = None, policies=None, stdin=None, stdout=None) 
         )
 
     async def _run() -> None:
+        if threading.current_thread() is threading.main_thread():
+            # SIGINT and SIGTERM cancel this task at its next await, so the
+            # finally below closes the server and its worker pool, also when
+            # SIGINT was inherited ignored (a non-interactive shell's
+            # background job).
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                asyncio.get_running_loop().add_signal_handler(
+                    signum, asyncio.current_task().cancel
+                )
         server = EvaluationServer(
             policies,
             host,

@@ -8,16 +8,18 @@ engines warm:
 
 * **In-process** (``workers <= 1``): one persistent
   :class:`~repro.core.fleet.FleetRunner` serves every drain through
+  evaluation's own roll, :func:`~repro.analysis.evaluation.roll_specs` over
   :meth:`~repro.core.fleet.FleetRunner.run_continuous` -- a finished lane's
-  slot is refilled from the request queue at the next inference boundary
-  instead of waiting for the fleet to drain, which is exactly the property
-  Corki's trajectory-level execution exposes (inference happens at
-  boundaries, so boundaries are where admission is free).
+  slot is refilled from the drain's misses on the next tick instead of
+  waiting for the fleet to drain, which is exactly the property Corki's
+  trajectory-level execution exposes (inference happens at boundaries, so
+  boundaries are where admission is free).
 * **Multi-process** (``workers >= 2``): the service leases the warm
   spawn-context pool (:func:`repro.analysis.parallel.lease_pool` -- spawned
-  once, policies shipped once) and dispatches every pending request's chunk
-  asynchronously, collecting results as workers finish so a slow request
-  never idles the rest of the pool.
+  once, policies shipped once) and rolls every drain's misses through
+  :meth:`~repro.analysis.parallel.EvaluationPool.roll_specs`, the call
+  sharded evaluation makes: one chunk per worker, all dispatched before
+  any is collected.
 
 Results flow through the content-addressed :class:`~repro.serving.cache.
 ResultCache`: a repeated request (same weights, task, seed, lane, config)
@@ -52,7 +54,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.config import VARIATIONS
-from repro.core.fleet import DEFAULT_FLEET_SIZE, FleetLane, FleetRunner
+from repro.core.fleet import DEFAULT_FLEET_SIZE, FleetRunner
 from repro.core.runner import MAX_EPISODE_FRAMES, EpisodeTrace
 from repro.pipeline.estimate import PipelineEstimate, estimate_from_steps
 from repro.reliability.faults import FaultPlan
@@ -235,8 +237,8 @@ class EvaluationService:
     ``use_cache=False`` disables caching; otherwise ``cache`` (default: a
     fresh in-memory cache) serves repeats.  ``slots`` bounds in-flight
     lanes for the in-process path (default
-    :data:`~repro.core.fleet.DEFAULT_FLEET_SIZE`); pool workers roll their
-    chunks in fleets of that default size.
+    :data:`~repro.core.fleet.DEFAULT_FLEET_SIZE`); pool workers stream
+    their chunks through that many slots.
 
     Reliability knobs: ``retry`` / ``chunk_timeout`` govern pooled-dispatch
     crash recovery; ``fault_plan`` injects deterministic failures for chaos
@@ -384,10 +386,18 @@ class EvaluationService:
         # contract -- and cache hits above never waited at all.
         misses.sort(key=lambda miss: (-miss[1].request.priority, miss[0]))
         if misses:
-            if self.workers <= 1 or self._pool is None:
-                self._roll_continuous(misses, results)
-            else:
-                self._roll_pooled(misses, results)
+            pooled = self.workers > 1 and self._pool is not None
+            rolled = self._roll_pooled(misses) if pooled else self._roll_continuous(misses)
+            for (index, admission, key), traces in zip(misses, rolled):
+                if traces is None:
+                    self._timeout(index, admission, results)
+                    continue
+                if key is not None:
+                    self.cache.put(key, traces)
+                results[index] = ServedResult(
+                    admission.request, traces, cached=False,
+                    estimate=estimate_for_request(admission.request, traces),
+                )
         for index, admission, primary in duplicates:
             outcome = results[primary]
             if outcome.ok:
@@ -450,98 +460,47 @@ class EvaluationService:
 
     # -- rolling ---------------------------------------------------------------
 
-    def _finish(self, index: int, request: EpisodeRequest, key: str | None,
-                traces: list[EpisodeTrace], results: dict[int, ServedResult]) -> None:
-        if key is not None:
-            self.cache.put(key, traces)
-        results[index] = ServedResult(
-            request, traces, cached=False,
-            estimate=estimate_for_request(request, traces),
-        )
+    def _roll_continuous(self, misses) -> list[list[EpisodeTrace] | None]:
+        """In-process path: the misses stream through the warm runner's slots
+        (:func:`~repro.analysis.evaluation.roll_specs`), one trace list per
+        miss, ``None`` where its deadline expired.
 
-    def _roll_continuous(self, misses, results) -> None:
-        """In-process path: continuous admission into the warm runner.
-
-        Deadline enforcement happens at the two places the runner exposes a
-        boundary: lazily at admission (a request that expired while earlier
-        lanes rolled never builds its environment) and per tick via the
-        runner's ``should_cancel`` hook, which evicts an expired lane and
-        refills its slot -- the batch never waits for a doomed lane.
+        Deadlines are enforced where the runner exposes a boundary: before a
+        miss takes a slot (one that expired while earlier lanes rolled never
+        builds its environment) and at every inference boundary, where an
+        expired lane is evicted and its slot refilled -- the batch never
+        waits for a doomed lane.  Without deadlines no clock is read.
         """
-        from repro.analysis.evaluation import build_lane
+        from repro.analysis.evaluation import roll_specs
 
-        pending: dict[int, tuple[int, _Admission, str | None]] = {}
-
-        def admissions():
-            for index, admission, key in misses:
-                if self._expired(admission):
-                    self._timeout(index, admission, results)
-                    continue
-                env, lane = build_lane(admission.spec)
-                pending[id(lane)] = (index, admission, key)
-                yield env, lane
-
-        def on_complete(lane: FleetLane, traces: list[EpisodeTrace]) -> None:
-            index, admission, key = pending.pop(id(lane))
-            self._finish(index, admission.request, key, traces, results)
-
-        should_cancel = None
-        on_cancel = None
+        expired = None
         if any(admission.request.deadline_ms is not None for _, admission, _ in misses):
 
-            def should_cancel(lane: FleetLane) -> bool:
-                entry = pending.get(id(lane))
-                return entry is not None and self._expired(entry[1])
+            def expired(k: int) -> bool:
+                return self._expired(misses[k][1])
 
-            def on_cancel(lane: FleetLane, traces: list[EpisodeTrace]) -> None:
-                index, admission, _ = pending.pop(id(lane))
-                self._timeout(index, admission, results)
+        specs = [admission.spec for _, admission, _ in misses]
+        return roll_specs(self._runner, specs, self.slots, expired)
 
-        self._runner.run_continuous(
-            admissions(), self.slots, on_complete,
-            should_cancel=should_cancel, on_cancel=on_cancel,
-        )
+    def _roll_pooled(self, misses) -> list[list[EpisodeTrace] | None]:
+        """Multi-process path: the live misses, in priority order, roll on
+        the leased pool (:meth:`~repro.analysis.parallel.EvaluationPool.
+        roll_specs`); ``None`` marks a miss that expired before dispatch.
 
-    def _roll_pooled(self, misses, results) -> None:
-        """Multi-process path: every chunk in flight on the leased pool.
-
-        The live misses, in priority order, shard straight into one
-        :class:`~repro.analysis.parallel.LaneChunk` of lane specs per worker:
-        a chunk mixes systems, seeds, layouts and frame budgets, and *all*
-        chunks dispatch asynchronously before any result is collected -- the
-        pool's queue keeps every worker busy for the whole drain.  Dispatch
-        runs under the pool's reliable path (per-chunk retry, backoff,
-        respawn); if the pool still exhausts its retry budget the drain
-        **degrades** to the in-process engine -- logged and counted in
-        ``stats()``, and byte-identical because both engines key lane
-        randomness the same way.
+        The pool splits them into one chunk of lane specs per worker -- a
+        chunk mixes systems, seeds, layouts and frame budgets -- and
+        dispatches every chunk before collecting any, under its reliable
+        path (per-chunk retry, backoff, respawn).  If the pool still
+        exhausts its retry budget the drain **degrades** to the in-process
+        engine -- logged and counted in ``stats()``, and byte-identical
+        because both engines key lane randomness the same way.
         """
-        from repro.analysis.parallel import LaneChunk, shard_lanes
-
-        live: list[tuple[int, _Admission, str | None]] = []
-        for miss in misses:
-            index, admission, _ = miss
-            if self._expired(admission):
-                self._timeout(index, admission, results)
-            else:
-                live.append(miss)
-        if not live:
-            return
-
-        shards = [live[start:stop] for start, stop in shard_lanes(len(live), self.workers)]
-        chunks = [
-            LaneChunk(
-                specs=tuple(admission.spec for _, admission, _ in shard),
-                fleet_size=DEFAULT_FLEET_SIZE,
-            )
-            for shard in shards
-        ]
+        rolled: list[list[EpisodeTrace] | None] = [None] * len(misses)
+        live = [k for k, (_, admission, _) in enumerate(misses) if not self._expired(admission)]
         try:
-            chunk_results = self._pool.run_chunks_reliably(
-                chunks,
-                retry=self.retry,
-                fault_plan=self.fault_plan,
-                chunk_timeout=self.chunk_timeout,
+            traces = self._pool.roll_specs(
+                [misses[k][1].spec for k in live], DEFAULT_FLEET_SIZE,
+                self.retry, self.fault_plan, self.chunk_timeout,
             )
         except PoolUnhealthy as failure:
             self.health.degradations += 1
@@ -549,8 +508,7 @@ class EvaluationService:
                 "worker pool unhealthy (%s); degrading %d request(s) to "
                 "in-process continuous batching", failure, len(live),
             )
-            self._roll_continuous(live, results)
-            return
-        for shard, chunk_result in zip(shards, chunk_results):
-            for (index, admission, key), traces in zip(shard, chunk_result):
-                self._finish(index, admission.request, key, traces, results)
+            traces = self._roll_continuous([misses[k] for k in live])
+        for k, lane_traces in zip(live, traces):
+            rolled[k] = lane_traces
+        return rolled

@@ -12,9 +12,16 @@ of one; each entry point must reproduce every lane it rolls byte for byte:
   then warm;
 * ``run_sharded`` over the whole set at ``workers=2``, its chunks mixing
   systems, seeds, layouts and frame budgets;
+* ``run_sharded`` again with every chunk's first attempt crashing in its
+  worker, so each chunk rolls on its retry;
 * ``EvaluationService`` at ``workers`` 1 and 2, cold and then warm, with
   every request in one drain, so its fleet (in-process) or its pool chunks
-  (pooled) mix systems.
+  (pooled) mix systems; and in-process at 3 slots, with 90- and 150-frame
+  lanes interleaved, so lanes retire out of admission order and their slots
+  are refilled throughout the drain.
+
+A last row expires one request mid-roll on a fake clock: it answers
+``timeout`` and every other lane still matches.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ from repro.analysis.evaluation import (
     lane_estimates,
     roll_specs,
 )
-from repro.analysis.parallel import run_sharded, shutdown_pools
+from repro.analysis.parallel import _cached_pool, run_sharded, shutdown_pools
+from repro.core.fleet import DEFAULT_FLEET_SIZE, FleetRunner
+from repro.reliability import FaultPlan, RetryPolicy
 from repro.serving.cache import ResultCache, encode_traces
 from repro.serving.service import EpisodeRequest, EvaluationService
 from repro.sim.tasks import sample_job
@@ -68,6 +77,11 @@ SPECS = SWEEP_SPECS + [
     dataclasses.replace(spec, max_frames=SHORT_FRAMES)
     for spec in sweep_specs(*SWEEPS[1])
 ]
+# SPECS with every 90-frame spec following a 150-frame one: rolled through a
+# few slots, lanes then retire out of admission order.
+SHORT = [index for index, spec in enumerate(SPECS) if spec.max_frames == SHORT_FRAMES]
+LONG = [index for index, spec in enumerate(SPECS) if spec.max_frames != SHORT_FRAMES]
+INTERLEAVED = [index for pair in zip(LONG, SHORT) for index in pair] + LONG[len(SHORT):]
 
 
 def lane_output(traces, estimate) -> bytes:
@@ -98,7 +112,10 @@ def _teardown_pools():
 @pytest.fixture(scope="module")
 def reference(trained) -> list[bytes]:
     """Every spec rolled alone, in a fleet of one."""
-    return [priced(spec, roll_specs(trained, [spec], fleet_size=1)[0]) for spec in SPECS]
+    return [
+        priced(spec, roll_specs(FleetRunner(trained.baseline, trained.corki), [spec], 1)[0])
+        for spec in SPECS
+    ]
 
 
 def split_lanes(evaluation) -> list[tuple[list, object]]:
@@ -141,32 +158,47 @@ def sweep(trained, fleet_size, workers) -> dict[int, bytes]:
     return cold
 
 
-def sharded(trained) -> dict[int, bytes]:
-    rolled = run_sharded(trained, SPECS, fleet_size=7, workers=2)
+def sharded(trained, fault_plan=None, retry=None) -> dict[int, bytes]:
+    rolled = run_sharded(trained, SPECS, 7, 2, retry, fault_plan)
     return {index: priced(spec, traces) for index, (spec, traces) in enumerate(zip(SPECS, rolled))}
 
 
-def served(trained, workers) -> dict[int, bytes]:
-    """Every spec as one request, all in one drain; then the same drain
-    again, which the service's cache must answer alone."""
-    requests = [
-        EpisodeRequest(
-            system=spec.system,
-            instructions=spec.instructions,
-            seed=spec.seed,
-            lane=spec.lane,
-            layout=spec.layout.name,
-            max_frames=spec.max_frames,
-        )
-        for spec in SPECS
-    ]
-    with EvaluationService(trained, workers=workers) as service:
+def sharded_through_crashes(trained) -> dict[int, bytes]:
+    """``sharded`` with every chunk's first attempt crashing in its worker."""
+    health = _cached_pool(trained, 2).health
+    before = health.retries
+    outputs = sharded(
+        trained, FaultPlan(seed=13, crash_rate=1.0), RetryPolicy(max_attempts=3, base_delay=0.0)
+    )
+    assert health.retries - before >= 1
+    return outputs
+
+
+def request(spec: LaneSpec, **scheduling) -> EpisodeRequest:
+    return EpisodeRequest(
+        system=spec.system,
+        instructions=spec.instructions,
+        seed=spec.seed,
+        lane=spec.lane,
+        layout=spec.layout.name,
+        max_frames=spec.max_frames,
+        **scheduling,
+    )
+
+
+def served(trained, workers, slots=DEFAULT_FLEET_SIZE, order=None) -> dict[int, bytes]:
+    """Every spec as one request, all in one drain, submitted in ``order``
+    (default: spec order); then the same drain again, which the service's
+    cache must answer alone."""
+    order = range(len(SPECS)) if order is None else order
+    requests = [request(SPECS[index]) for index in order]
+    with EvaluationService(trained, workers=workers, slots=slots) as service:
         cold = service.serve(requests)
         warm = service.serve(requests)
     assert all(result.ok and not result.cached for result in cold)
     assert all(result.ok and result.cached for result in warm)
     outputs = {}
-    for index, (first, again) in enumerate(zip(cold, warm)):
+    for index, first, again in zip(order, cold, warm, strict=True):
         outputs[index] = lane_output(first.traces, first.estimate)
         assert lane_output(again.traces, again.estimate) == outputs[index]
     return outputs
@@ -181,7 +213,9 @@ ENTRY_POINTS = {
         for workers in (1, 2)
     },
     "run_sharded-workers2": sharded,
+    "run_sharded-workers2-crashes": sharded_through_crashes,
     "service-workers1": lambda trained: served(trained, 1),
+    "service-workers1-slots3": lambda trained: served(trained, 1, 3, INTERLEAVED),
     "service-workers2": lambda trained: served(trained, 2),
 }
 
@@ -197,3 +231,29 @@ def test_every_lane_matches_its_lane_rolled_alone(trained, reference, entry):
             f"{entry}: {spec.system} seed {spec.seed} {spec.layout.name} lane {spec.lane} "
             f"({spec.max_frames} frames) differs from the lane rolled alone"
         )
+
+
+def test_a_request_expiring_mid_roll_leaves_every_other_lane_unchanged(trained, reference):
+    """Three slots serve every spec in one drain on a clock that advances one
+    millisecond per fleet tick.  The chosen request goes first and expires
+    20 ticks into its roll: it answers ``timeout``, its slot is refilled,
+    and every other lane matches its lane rolled alone."""
+    chosen = 10
+    service = EvaluationService(
+        trained, slots=3, clock=lambda: service.stats()["fleet_ticks"] / 1000.0
+    )
+    with service:
+        results = service.serve([
+            request(spec, deadline_ms=20, priority=1) if index == chosen else request(spec)
+            for index, spec in enumerate(SPECS)
+        ])
+        stats = service.stats()
+    assert results[chosen].status == "timeout"
+    assert stats["fleet_admissions"] == len(SPECS), "the chosen lane never took a slot"
+    assert stats["timeouts"] == 1
+    for index, result in enumerate(results):
+        if index != chosen:
+            spec = SPECS[index]
+            assert lane_output(result.traces, result.estimate) == reference[index], (
+                f"{spec.system} seed {spec.seed} lane {spec.lane} differs beside an eviction"
+            )

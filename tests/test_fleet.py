@@ -30,6 +30,7 @@ from repro.analysis.evaluation import (
     build_lane,
     evaluate_all_systems,
     evaluate_system,
+    roll_specs,
 )
 from repro.core.fleet import _adaptive_steps
 from repro.core import (
@@ -589,39 +590,47 @@ def _roll(runner_cls, policies, system, fleet_size):
 
 
 class _Recorder:
-    """``run_continuous`` callbacks: completions, cancellations and the
-    ``should_cancel`` poll that evicts lane ``victim`` on its tenth poll."""
+    """``run_continuous`` callbacks on lane keys: completions, and the
+    ``should_cancel`` poll that evicts lane ``victim`` on its tenth poll,
+    logged as a cancellation (an evicted lane's partial traces are not
+    handed out)."""
 
-    def __init__(self, lanes, victim=None):
-        self.index = {id(lane): position for position, lane in enumerate(lanes)}
+    def __init__(self, victim=None):
         self.victim = victim
         self.polls = 0
         self.events = []
 
-    def on_complete(self, lane, traces):
-        self.events.append(("complete", self.index[id(lane)], encode_traces(traces)))
+    def on_complete(self, key, traces):
+        self.events.append(("complete", key, encode_traces(traces)))
 
-    def on_cancel(self, lane, traces):
-        self.events.append(("cancel", self.index[id(lane)], encode_traces(traces)))
-
-    def should_cancel(self, lane):
-        if self.index[id(lane)] != self.victim:
+    def should_cancel(self, key):
+        if key != self.victim:
             return False
         self.polls += 1
-        return self.polls == 10
+        if self.polls != 10:
+            return False
+        self.events.append(("cancel", key))
+        return True
 
 
 def _roll_continuous(runner_cls, policies, slots, victim):
     baseline, corki, _ = policies
     admissions = _admissions("mixed")
-    recorder = _Recorder([lane for _, lane in admissions], victim)
-    served = runner_cls(baseline=baseline, corki=corki).run_continuous(
-        iter(admissions),
-        slots,
-        recorder.on_complete,
-        should_cancel=None if victim is None else recorder.should_cancel,
-        on_cancel=recorder.on_cancel,
-    )
+    recorder = _Recorder(victim)
+    should_cancel = None if victim is None else recorder.should_cancel
+    runner = runner_cls(baseline=baseline, corki=corki)
+    if runner_cls is FrozenFleetRunner:
+        # The frozen runner keeps its (env, lane) interface: key its lanes here.
+        keys = {id(lane): key for key, (_, lane) in enumerate(admissions)}
+        served = runner.run_continuous(
+            iter(admissions),
+            slots,
+            lambda lane, traces: recorder.on_complete(keys[id(lane)], traces),
+            should_cancel=should_cancel and (lambda lane: should_cancel(keys[id(lane)])),
+        )
+    else:
+        keyed = ((key, env, lane) for key, (env, lane) in enumerate(admissions))
+        served = runner.run_continuous(keyed, slots, recorder.on_complete, should_cancel)
     return served, recorder.events
 
 
@@ -667,7 +676,7 @@ class TestFrozenFleetReference:
         )
         assert served == frozen_served
         assert events == frozen_events
-        assert [kind for kind, _, _ in events].count("cancel") == (0 if victim is None else 1)
+        assert [event[0] for event in events].count("cancel") == (0 if victim is None else 1)
 
     @pytest.mark.parametrize("lanes", [1, 2, 7, 32])
     def test_adaptive_steps_match_frozen_decide_steps(self, lanes):
@@ -725,6 +734,28 @@ class TestWorkCounters:
             admissions = _admissions("corki-5")[:3]
             runner.run([env for env, _ in admissions], [lane for _, lane in admissions])
         assert runner.counters.admissions == 6
+
+    def test_refill_keeps_the_fleet_full(self, tiny_policies):
+        """``roll_specs`` gives a retired lane's slot to the next spec on the
+        next tick, so 8 slots stay full while specs remain and then drain
+        within one frame budget: 32 single-task specs across the seven
+        systems, budgets cycling 30/150/60/120 frames, take at most
+        ceil(lane-frames / 8) + 150 ticks (fleets of 8 drained to empty one
+        after the other took 600)."""
+        baseline, corki, _ = tiny_policies
+        specs = [
+            LaneSpec(
+                SYSTEMS[lane % len(SYSTEMS)], SEEN_LAYOUT, 5, lane,
+                (TASKS[lane % len(TASKS)].instruction,), (30, 150, 60, 120)[lane % 4],
+            )
+            for lane in range(32)
+        ]
+        runner = FleetRunner(baseline=baseline, corki=corki)
+        roll_specs(runner, specs, 8)
+        counters = runner.counters
+        assert counters.lane_frames == 8 * (30 + 150 + 60 + 120)  # every lane runs its budget
+        assert counters.admissions == 32
+        assert counters.ticks <= (counters.lane_frames + 7) // 8 + 150
 
     def test_sweep_fleets_carry_more_rows_per_call(self, tiny_policies, monkeypatch):
         """``evaluate_all_systems`` rolls the seven systems' lanes as mixed

@@ -304,7 +304,7 @@ class TestCorkiSwCopies:
         so mutating one silently corrupted the other."""
         systems = ["roboflamingo", *evaluation.VARIATIONS]
 
-        def fake_roll_specs(policies, specs, fleet_size):
+        def fake_roll_specs(runner, specs, fleet_size):
             """One successful episode per lane; its frame count tags the system."""
             return [
                 [EpisodeTrace(
@@ -316,7 +316,9 @@ class TestCorkiSwCopies:
             ]
 
         monkeypatch.setattr(evaluation, "roll_specs", fake_roll_specs)
-        results = evaluate_all_systems(None, SEEN_LAYOUT, jobs=1)
+        # The in-process roll builds its runner from the policies, then the fake runs.
+        policies = TrainedPolicies(baseline=None, corki=None, demos_per_task=0, epochs=0)
+        results = evaluate_all_systems(policies, SEEN_LAYOUT, jobs=1)
         corki5, corki_sw = results["corki-5"], results["corki-sw"]
         assert [trace.frames for trace in corki5.traces] == [systems.index("corki-5") + 2]
         assert corki_sw.traces == corki5.traces

@@ -9,7 +9,8 @@ with the in-process service (and therefore with
 under mixed priorities, deadline expiry mid-flight, admission shedding under
 a full pending batch, flow control on stdin, malformed frames erroring
 per-connection without killing the server, keyed connection/frame fault
-injection, and hot policy-weight reload mid-drain.
+injection, hot policy-weight reload mid-drain, and a server process that
+ends cleanly on SIGINT or SIGTERM.
 
 Determinism without sleeps: the server takes an injectable ``clock`` (fake
 time for deadlines) and two seams -- ``batch_started`` on the event loop,
@@ -21,8 +22,14 @@ needs to race an admission or a reload against it.
 import asyncio
 import io
 import json
+import os
+import queue
+import signal
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +50,8 @@ from repro.serving.server import EvaluationServer, start_server_thread
 from repro.serving.service import EvaluationService
 from repro.sim.tasks import TASKS, sample_job
 from repro.sim.world import SEEN_LAYOUT
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -574,3 +583,81 @@ class TestHotReload:
                     client.reload(str(tmp_path / "missing.npz"))
                 (served,) = client.request(quick_frame("still", 0))
                 assert served["status"] == "ok"
+
+
+# -- process shutdown ----------------------------------------------------------
+
+# Serves like ``python -m repro.serving ARGS`` with the committed quick-profile
+# policies, but refuses to train if they are not cached.  ``IGNORE_SIGINT=1``
+# starts it with SIGINT ignored, as a background job of a non-interactive
+# shell inherits it.
+_SERVE_PROCESS = """
+import os, signal, sys
+if os.environ.get("IGNORE_SIGINT") == "1":
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+import repro.analysis.evaluation as evaluation
+def refuse(*args, **kwargs):
+    raise SystemExit("the quick-profile policies are not cached in artifacts/")
+evaluation.collect_demonstrations = refuse
+from repro.serving.__main__ import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def serve_until_signalled(signum, args, tmp_path, ignore_sigint=False):
+    """Start the server process on an ephemeral TCP port, send ``signum`` once
+    it serves, and return its exit code, its stderr and the worker-pool
+    archive directories that existed while it served."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(REPO_ROOT / "src"),
+        "TMPDIR": str(tmp_path),
+        "IGNORE_SIGINT": "1" if ignore_sigint else "0",
+    }
+    process = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_PROCESS, "--tcp", "127.0.0.1:0", *args],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT,
+    )
+    lines: queue.Queue = queue.Queue()
+
+    def pump() -> None:
+        for line in process.stderr:
+            lines.put(line)
+        lines.put("")  # end of stream
+
+    threading.Thread(target=pump, daemon=True).start()
+    log: list[str] = []
+    try:
+        while not log or not log[-1].startswith("[serving on"):
+            log.append(lines.get(timeout=120))
+            assert log[-1], f"server exited before serving: {''.join(log)}"
+        pool_dirs = list(tmp_path.glob("repro-pool-*"))
+        process.send_signal(signum)
+        code = process.wait(timeout=60)
+        while log[-1]:
+            log.append(lines.get(timeout=10))
+    finally:
+        process.kill()
+        process.wait()
+    return code, "".join(log), pool_dirs
+
+
+class TestShutdownSignals:
+    """The server process ends cleanly on SIGINT and on SIGTERM: exit code
+    0, a last ``[served N requests]`` line, and its worker pool's archive
+    directory removed."""
+
+    def test_sigint_stops_a_server_started_with_sigint_ignored(self, tmp_path):
+        code, log, _ = serve_until_signalled(signal.SIGINT, [], tmp_path, ignore_sigint=True)
+        assert code == 0, log
+        assert log.splitlines()[-1] == "[served 0 requests]"
+
+    def test_sigterm_stops_a_pooled_server_and_removes_its_archive(self, tmp_path):
+        code, log, pool_dirs = serve_until_signalled(
+            signal.SIGTERM, ["--workers", "2"], tmp_path
+        )
+        assert code == 0, log
+        assert log.splitlines()[-1] == "[served 0 requests]"
+        assert len(pool_dirs) == 1, "the pooled server wrote no archive directory"
+        assert not list(tmp_path.glob("repro-pool-*"))

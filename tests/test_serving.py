@@ -289,12 +289,10 @@ class TestRunContinuous:
             [env for env, _ in batch_pairs], [lane for _, lane in batch_pairs]
         )
         results = {}
-        streamed_pairs = lanes_and_envs(4)
-        order = {id(lane): index for index, (_, lane) in enumerate(streamed_pairs)}
         served = runner.run_continuous(
-            iter(streamed_pairs),
+            ((index, env, lane) for index, (env, lane) in enumerate(lanes_and_envs(4))),
             slots=2,
-            on_complete=lambda lane, traces: results.__setitem__(order[id(lane)], traces),
+            on_complete=results.__setitem__,
         )
         assert served == 4 and sorted(results) == [0, 1, 2, 3]
         for index in range(4):
