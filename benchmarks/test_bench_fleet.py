@@ -22,12 +22,13 @@ Four gates run even under ``--benchmark-disable`` (the CI smoke pass):
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import VARIATIONS, run_baseline_fleet, run_corki_fleet
+from repro.core import VARIATIONS, FleetLane, FleetRunner
 
 FLEET_SIZES = (1, 8, 32, 128)
 FRAMES = 20
@@ -37,19 +38,24 @@ SCALING_LANES = 8
 WEAK_SCALING_FLOOR = 0.9
 
 
-def fleet_inputs(n):
-    """Fresh environments and a task per lane (env streams: domain 11)."""
+def fleet_inputs(n, frames=FRAMES):
+    """Fresh environments and a one-task baseline lane each (env streams:
+    domain 11)."""
     from repro.sim import SEEN_LAYOUT, TASKS, ManipulationEnv
 
-    tasks = [TASKS[i % len(TASKS)] for i in range(n)]
     envs = [ManipulationEnv(SEEN_LAYOUT, np.random.default_rng([0, 11, i])) for i in range(n)]
-    return envs, tasks
+    lanes = [FleetLane(tasks=[TASKS[i % len(TASKS)]], max_frames=frames) for i in range(n)]
+    return envs, lanes
 
 
 def corki_inputs(n):
-    """:func:`fleet_inputs` plus per-lane feedback generators (domain 12)."""
-    envs, tasks = fleet_inputs(n)
-    return envs, tasks, [np.random.default_rng([1000, 12, i]) for i in range(n)]
+    """:func:`fleet_inputs` as Corki-5 lanes, with per-lane feedback
+    generators (domain 12)."""
+    envs, lanes = fleet_inputs(n)
+    return envs, [
+        replace(lane, variation=VARIATIONS["corki-5"], rng=np.random.default_rng([1000, 12, i]))
+        for i, lane in enumerate(lanes)
+    ]
 
 
 def episodes_per_second(run, n, rounds, setup):
@@ -118,8 +124,8 @@ def test_fleet_baseline_episodes(benchmark, tiny_policies, n):
     """Baseline fleet throughput (inference on every frame, the worst case)."""
     baseline, _, _ = tiny_policies
 
-    def run(envs, tasks):
-        return run_baseline_fleet(envs, baseline, tasks, max_frames=FRAMES)
+    def run(envs, lanes):
+        return FleetRunner(baseline=baseline).run(envs, lanes)
 
     traces = benchmark.pedantic(run, setup=lambda: (fleet_inputs(n), {}), rounds=3, iterations=1)
     benchmark.extra_info["episodes"] = n
@@ -131,8 +137,8 @@ def test_fleet_corki5_episodes(benchmark, tiny_policies, n):
     """Corki-5 fleet throughput (inference only at trajectory boundaries)."""
     _, corki, _ = tiny_policies
 
-    def run(envs, tasks, rngs):
-        return run_corki_fleet(envs, corki, tasks, VARIATIONS["corki-5"], rngs, max_frames=FRAMES)
+    def run(envs, lanes):
+        return FleetRunner(corki=corki).run(envs, lanes)
 
     traces = benchmark.pedantic(run, setup=lambda: (corki_inputs(n), {}), rounds=3, iterations=1)
     benchmark.extra_info["episodes"] = n
@@ -216,17 +222,15 @@ def test_fleet_speedup_over_single_episode_loop(tiny_policies):
     n = 32
 
     def fleet_run(inputs):
-        envs, tasks = inputs
-        run_baseline_fleet(envs, baseline, tasks, max_frames=FRAMES)
+        FleetRunner(baseline=baseline).run(*inputs)
 
     def sequential_run(inputs):
-        envs, tasks = inputs
-        for env, task in zip(envs, tasks):
-            run_baseline_fleet([env], baseline, [task], max_frames=FRAMES)
+        envs, lanes = inputs
+        for env, lane in zip(envs, lanes):
+            FleetRunner(baseline=baseline).run([env], [lane])
 
     # Warm up BLAS/allocator paths once so neither side pays one-time costs.
-    warm_envs, warm_tasks = fleet_inputs(2)
-    run_baseline_fleet(warm_envs, baseline, warm_tasks, max_frames=2)
+    FleetRunner(baseline=baseline).run(*fleet_inputs(2, frames=2))
     sequential_eps = episodes_per_second(
         sequential_run, n, rounds=1, setup=lambda: fleet_inputs(n)
     )
@@ -259,12 +263,10 @@ def test_fleet_throughput_regression_gate(tiny_policies):
     n = 32
 
     def run_base(inputs):
-        envs, tasks = inputs
-        run_baseline_fleet(envs, baseline, tasks, max_frames=FRAMES)
+        FleetRunner(baseline=baseline).run(*inputs)
 
     def run_cork(inputs):
-        envs, tasks, rngs = inputs
-        run_corki_fleet(envs, corki, tasks, VARIATIONS["corki-5"], rngs, max_frames=FRAMES)
+        FleetRunner(corki=corki).run(*inputs)
 
     cases = (
         ("baseline", run_base, lambda: fleet_inputs(n)),

@@ -14,7 +14,7 @@ def test_fleet_traces_drive_pipeline_model(benchmark, tiny_policies):
     ``executed_steps`` through ``simulate_corki`` -- the accuracy-to-pipeline
     coupling the figure-13 experiment drives at full scale.
     """
-    from repro.core import VARIATIONS, run_corki_fleet
+    from repro.core import VARIATIONS, FleetLane, FleetRunner
     from repro.sim import SEEN_LAYOUT, TASKS, ManipulationEnv
 
     _, corki, _ = tiny_policies
@@ -22,10 +22,15 @@ def test_fleet_traces_drive_pipeline_model(benchmark, tiny_policies):
     def run():
         n = 8
         envs = [ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(i)) for i in range(n)]
-        tasks = [TASKS[i % len(TASKS)] for i in range(n)]
-        rngs = [np.random.default_rng(100 + i) for i in range(n)]
-        traces = run_corki_fleet(envs, corki, tasks, VARIATIONS["corki-5"], rngs, max_frames=20)
-        steps = [step for trace in traces for step in trace.executed_steps]
+        lanes = [
+            FleetLane(
+                tasks=[TASKS[i % len(TASKS)]], variation=VARIATIONS["corki-5"],
+                rng=np.random.default_rng(100 + i), max_frames=20,
+            )
+            for i in range(n)
+        ]
+        traces = FleetRunner(corki=corki).run(envs, lanes)
+        steps = [step for lane in traces for trace in lane for step in trace.executed_steps]
         return simulate_corki(steps, rng=np.random.default_rng(5))
 
     pipeline_trace = benchmark.pedantic(run, rounds=3, iterations=1)

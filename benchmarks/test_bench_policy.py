@@ -9,12 +9,7 @@ import copy
 
 import numpy as np
 
-from repro.core import (
-    VARIATIONS,
-    WINDOW_LENGTH,
-    run_baseline_episode,
-    run_corki_episode,
-)
+from repro.core import VARIATIONS, WINDOW_LENGTH, FleetLane, FleetRunner
 from repro.sim import OBSERVATION_DIM, SEEN_LAYOUT, TASKS, ManipulationEnv
 
 
@@ -81,7 +76,8 @@ def test_tbl1_episode_baseline(benchmark, tiny_policies):
 
     def run():
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(1))
-        return run_baseline_episode(env, baseline, TASKS[0], max_frames=40)
+        lane = FleetLane(tasks=[TASKS[0]], max_frames=40)
+        return FleetRunner(baseline=baseline).run([env], [lane])[0][0]
 
     trace = benchmark(run)
     assert trace.frames <= 40
@@ -93,10 +89,11 @@ def test_tbl1_episode_corki5(benchmark, tiny_policies):
 
     def run():
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(1))
-        return run_corki_episode(
-            env, corki, TASKS[0], VARIATIONS["corki-5"], np.random.default_rng(2),
-            max_frames=40,
+        lane = FleetLane(
+            tasks=[TASKS[0]], variation=VARIATIONS["corki-5"],
+            rng=np.random.default_rng(2), max_frames=40,
         )
+        return FleetRunner(corki=corki).run([env], [lane])[0][0]
 
     trace = benchmark(run)
     assert trace.frames <= 40

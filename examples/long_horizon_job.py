@@ -18,10 +18,9 @@ from repro.core import (
     VARIATIONS,
     BaselinePolicy,
     CorkiPolicy,
+    FleetLane,
+    FleetRunner,
     TrainingConfig,
-    run_baseline_episode,
-    run_corki_episode,
-    run_job,
     train_baseline,
     train_corki,
 )
@@ -52,18 +51,18 @@ def main() -> None:
     job = sample_job(np.random.default_rng(99))
     print("\njob:", " -> ".join(task.instruction for task in job))
 
+    # A job is one lane: each success chains the next task onto the same
+    # scene, and the lane stops at the first failure.
+    runner = FleetRunner(baseline, corki)
     for system in ("roboflamingo", "corki-5"):
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(1))
-        policy_rng = np.random.default_rng(2)
         if system == "roboflamingo":
-            def episode(task, chained):
-                return run_baseline_episode(env, baseline, task, chained=chained)
+            lane = FleetLane(tasks=job)
         else:
-            def episode(task, chained):
-                return run_corki_episode(
-                    env, corki, task, VARIATIONS["corki-5"], policy_rng, chained=chained
-                )
-        traces = run_job(env, job, episode)
+            lane = FleetLane(
+                tasks=job, variation=VARIATIONS["corki-5"], rng=np.random.default_rng(2)
+            )
+        (traces,) = runner.run([env], [lane])
         completed = sum(trace.success for trace in traces)
         inferences = sum(trace.inference_count for trace in traces)
         frames = sum(trace.frames for trace in traces)

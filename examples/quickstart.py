@@ -24,10 +24,9 @@ from repro.core import (
     VARIATIONS,
     BaselinePolicy,
     CorkiPolicy,
+    FleetLane,
+    FleetRunner,
     TrainingConfig,
-    run_baseline_episode,
-    run_corki_episode,
-    run_corki_fleet,
     train_baseline,
     train_corki,
 )
@@ -66,12 +65,14 @@ def main() -> None:
 
     task = TASKS[0]  # "lift the red block"
     print(f"\nrolling out: {task.instruction!r}")
-    env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(42))
-    baseline_trace = run_baseline_episode(env, baseline, task)
-    env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(42))
-    corki_trace = run_corki_episode(
-        env, corki, task, VARIATIONS["corki-5"], np.random.default_rng(7)
-    )
+    # One episode is a one-lane fleet; both lanes see the same scene.
+    runner = FleetRunner(baseline, corki)
+    envs = [ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(42)) for _ in range(2)]
+    lanes = [
+        FleetLane(tasks=[task]),
+        FleetLane(tasks=[task], variation=VARIATIONS["corki-5"], rng=np.random.default_rng(7)),
+    ]
+    baseline_trace, corki_trace = (traces[0] for traces in runner.run(envs, lanes))
     print(f"  baseline: success={baseline_trace.success}  "
           f"frames={baseline_trace.frames}  inferences={baseline_trace.inference_count}")
     print(f"  corki-5:  success={corki_trace.success}  "
@@ -80,14 +81,18 @@ def main() -> None:
     fleet_n = FLEET_N
     print(f"\nbatched fleet evaluation ({fleet_n} Corki-5 lanes in lock-step):")
     envs = [ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(42 + i)) for i in range(fleet_n)]
-    rngs = [np.random.default_rng(7 + i) for i in range(fleet_n)]
+    lanes = [
+        FleetLane(
+            tasks=[TASKS[i % len(TASKS)]],
+            variation=VARIATIONS["corki-5"],
+            rng=np.random.default_rng(7 + i),
+        )
+        for i in range(fleet_n)
+    ]
     started = time.perf_counter()
-    fleet_traces = run_corki_fleet(
-        envs, corki, [TASKS[i % len(TASKS)] for i in range(fleet_n)],
-        VARIATIONS["corki-5"], rngs,
-    )
+    fleet_traces = runner.run(envs, lanes)
     elapsed = time.perf_counter() - started
-    successes = sum(trace.success for trace in fleet_traces)
+    successes = sum(traces[0].success for traces in fleet_traces)
     print(f"  {fleet_n} episodes in {elapsed:.2f}s "
           f"({fleet_n / elapsed:.1f} episodes/s), {successes} succeeded")
 

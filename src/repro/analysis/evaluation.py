@@ -40,7 +40,7 @@ from repro.nn.serialization import load_module, save_module
 from repro.pipeline.estimate import PipelineEstimate, estimate_lanes
 from repro.sim.camera import OBSERVATION_DIM, RAW_FEATURE_DIM
 from repro.sim.dataset import ActionNormalizer, collect_demonstrations, roll_expert_episodes
-from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, ManipulationEnv
+from repro.sim.env import ManipulationEnv
 from repro.sim.tasks import TASK_FAMILIES, TASKS, sample_job, task_by_instruction
 from repro.sim.world import SEEN_LAYOUT, SceneLayout
 
@@ -223,7 +223,6 @@ def build_lane(spec: LaneSpec) -> tuple[ManipulationEnv, FleetLane]:
         tasks=[task_by_instruction(text) for text in spec.instructions],
         variation=variation,
         rng=feedback_rng,
-        actuation=TRACKING_30HZ if variation is None else TRACKING_100HZ,
         max_frames=spec.max_frames,
     )
 
@@ -273,7 +272,9 @@ def roll_lane_chunk(
     """Roll a block of one system's lanes; one trace list per lane.
 
     ``lane_jobs[k]`` is the job (task list) of global lane ``lane_start + k``:
-    the block's specs, rolled by :func:`roll_specs`.
+    the block's specs, rolled by :func:`roll_specs`.  perfbench is the only
+    caller; every other roll builds its :class:`LaneSpec` list and calls
+    :func:`roll_specs` itself.  This stays until perfbench does the same.
     """
     return roll_specs(
         FleetRunner(policies.baseline, policies.corki),
@@ -559,7 +560,7 @@ def expert_oracle_outcomes(
     Every pair is one lane of one :func:`roll_expert_episodes` fleet,
     seeded ``[seed, 5, index, episode]`` -- keyed on the episode's identity,
     not on any draw order -- so any subset of the oracle sweep (e.g. one
-    worker's shard) reproduces exactly the episodes the full sweep would
+    task's episodes) reproduces exactly the episodes the full sweep would
     run.  Domain tag 5 keeps the oracle family disjoint from the lane
     streams (tags 1/2), the jitter streams (3/4) and the fault-injection
     streams (6-10) for every seed assignment; RNG-PROVENANCE proves it.
@@ -579,29 +580,19 @@ def expert_oracle_outcomes(
 
 
 def expert_oracle_families(
-    layout: SceneLayout,
-    episodes_per_task: int = 2,
-    seed: int = 0,
-    workers: int = 1,
+    layout: SceneLayout, episodes_per_task: int = 2, seed: int = 0
 ) -> dict[str, FamilyCell]:
     """Scripted-expert (jitter-free) success per family: the oracle matrix.
 
     Every registry task must score 1.0 here by construction -- its expert
     keyframes are supposed to achieve its own ``success`` predicate from any
     sampled scene.  A lower rate means a predicate, expert script or scene
-    mechanic drifted; the CI task-suite smoke job gates on exactly this
-    (sharded across ``workers`` processes there, which cannot change the
-    matrix: episode seeding is keyed on task index and episode number).
+    mechanic drifted; the CI task-suite smoke job gates on exactly this.
+    The sweep rolls in-process, as lanes of one expert fleet.
     """
     pairs = [
         (index, episode)
         for index in range(len(TASKS))
         for episode in range(episodes_per_task)
     ]
-    if workers <= 1:
-        outcomes = expert_oracle_outcomes(layout, pairs, seed)
-    else:
-        from repro.analysis.parallel import run_oracle_sharded
-
-        outcomes = run_oracle_sharded(layout, pairs, seed, workers)
-    return _aggregate_families(outcomes)
+    return _aggregate_families(expert_oracle_outcomes(layout, pairs, seed))

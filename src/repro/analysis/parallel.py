@@ -7,13 +7,14 @@ This module lifts that roll across OS processes:
 each shard ships to a worker as a :class:`LaneChunk` of lane specs
 (:class:`~repro.analysis.evaluation.LaneSpec`), and the workers execute *the
 same* :func:`repro.analysis.evaluation.roll_specs` the in-process path runs.
-A chunk may mix systems, layouts, seeds and frame budgets.  Because every
-lane's randomness is keyed on its global index (``lane_generators`` --
-``[seed, 1, lane]`` / ``[seed, 2, lane]``) and fleet results are fleet-size
-invariant, the merged output is byte-identical to a single-process run for
-any worker count; ``tests/test_parallel.py`` asserts this for Tbl. 1 and
-the per-family matrix, and ``tests/test_differential.py`` across every
-entry point.
+A chunk may mix systems, layouts, seeds and frame budgets, and lane chunks
+are the only work a pool does: every pool holds one policy archive.
+Because every lane's randomness is keyed on its global index
+(``lane_generators`` -- ``[seed, 1, lane]`` / ``[seed, 2, lane]``) and fleet
+results are fleet-size invariant, the merged output is byte-identical to a
+single-process run for any worker count; ``tests/test_parallel.py`` asserts
+this for Tbl. 1 and the per-family matrix, and ``tests/test_differential.py``
+across every entry point.
 
 Design notes:
 
@@ -87,15 +88,13 @@ from repro.reliability.faults import (
 )
 from repro.reliability.health import HealthCounters, PoolUnhealthy
 from repro.reliability.retry import RetryPolicy
-from repro.sim.world import SceneLayout
 
 if TYPE_CHECKING:
-    from repro.analysis.evaluation import LaneSpec
+    from repro.analysis.evaluation import LaneSpec, TrainedPolicies
 
 __all__ = [
     "PolicyArchive",
     "LaneChunk",
-    "OracleChunk",
     "EvaluationPool",
     "archive_policies",
     "restore_policies",
@@ -105,7 +104,6 @@ __all__ = [
     "release_pool",
     "shard_lanes",
     "run_sharded",
-    "run_oracle_sharded",
     "shutdown_pools",
 ]
 
@@ -280,18 +278,9 @@ class LaneChunk:
     fleet_size: int
 
 
-@dataclass(frozen=True)
-class OracleChunk:
-    """A shard of the expert-oracle sweep: (task index, episode) pairs."""
-
-    layout: SceneLayout
-    seed: int
-    pairs: tuple[tuple[int, int], ...]
-
-
 # -- worker side ---------------------------------------------------------------
 
-_WORKER_POLICIES = None
+_WORKER_POLICIES: TrainedPolicies | None = None
 
 # Why this worker's initializer could not restore the pool's archive; every
 # chunk raises it.  The initializer itself never raises: a raising
@@ -300,7 +289,7 @@ _WORKER_POLICIES = None
 _WORKER_ERROR: str | None = None
 
 
-def _read_archive(path: str, digest: str | None) -> PolicyArchive:
+def _read_archive(path: str, digest: str) -> PolicyArchive:
     """Read the pool's archive file once and check it is the file written."""
     with open(path, "rb") as handle:
         payload = handle.read()
@@ -312,17 +301,15 @@ def _read_archive(path: str, digest: str | None) -> PolicyArchive:
     return load_archive(io.BytesIO(payload))
 
 
-def _init_worker(path: str | None, digest: str | None, ready) -> None:
+def _init_worker(path: str, digest: str, ready) -> None:
     """Pool initializer: restore the pool's policy archive exactly once.
 
-    A pool built without an archive passes no path.  A failure is stored
-    for the worker's chunks to raise.  ``ready`` is released in every case;
-    :meth:`EvaluationPool.warm_up` waits on it.
+    A failure is stored for the worker's chunks to raise.  ``ready`` is
+    released in every case; :meth:`EvaluationPool.warm_up` waits on it.
     """
     global _WORKER_POLICIES, _WORKER_ERROR
     try:
-        if path is not None:
-            _WORKER_POLICIES = restore_policies(_read_archive(path, digest))
+        _WORKER_POLICIES = restore_policies(_read_archive(path, digest))
     except Exception as exc:  # the worker must live; its chunks raise this
         _WORKER_ERROR = (
             f"pool worker could not restore the policy archive: "
@@ -332,17 +319,11 @@ def _init_worker(path: str | None, digest: str | None, ready) -> None:
         ready.release()
 
 
-def _raise_restore_error() -> None:
-    if _WORKER_ERROR is not None:
-        raise RuntimeError(_WORKER_ERROR)
-
-
 def _run_lane_chunk(chunk: LaneChunk) -> list[list[EpisodeTrace]]:
     from repro.analysis.evaluation import roll_specs
 
-    _raise_restore_error()
-    if _WORKER_POLICIES is None:
-        raise RuntimeError("worker pool was started without a policy archive")
+    if _WORKER_ERROR is not None:
+        raise RuntimeError(_WORKER_ERROR)
     runner = FleetRunner(_WORKER_POLICIES.baseline, _WORKER_POLICIES.corki)
     return roll_specs(runner, chunk.specs, chunk.fleet_size)
 
@@ -360,13 +341,6 @@ def _run_faulted_chunk(
     chunk, directive = payload
     apply_chunk_directive(directive)
     return _run_lane_chunk(chunk)
-
-
-def _run_oracle_chunk(chunk: OracleChunk) -> list[tuple[str, str, bool]]:
-    from repro.analysis.evaluation import expert_oracle_outcomes
-
-    _raise_restore_error()
-    return expert_oracle_outcomes(chunk.layout, chunk.pairs, chunk.seed)
 
 
 # -- parent side ---------------------------------------------------------------
@@ -402,25 +376,21 @@ class EvaluationPool:
     respawns and injected faults for ``stats()`` reporting.
     """
 
-    def __init__(self, archive: PolicyArchive | None, workers: int):
+    def __init__(self, archive: PolicyArchive, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.health = HealthCounters()
-        self._archive_path: str | None = None
-        self._digest: str | None = None
-        self._remove_archive: weakref.finalize | None = None
-        if archive is not None:
-            directory = tempfile.mkdtemp(prefix="repro-pool-")
-            # Runs on close(), on garbage collection or at exit, whichever
-            # comes first, and only once.
-            self._remove_archive = weakref.finalize(
-                self, shutil.rmtree, directory, ignore_errors=True
-            )
-            path = save_archive(os.path.join(directory, "policies.npz"), archive)
-            with open(path, "rb") as handle:
-                self._digest = hashlib.sha256(handle.read()).hexdigest()
-            self._archive_path = str(path)
+        directory = tempfile.mkdtemp(prefix="repro-pool-")
+        # Runs on close(), on garbage collection or at exit, whichever comes
+        # first, and only once.
+        self._remove_archive = weakref.finalize(
+            self, shutil.rmtree, directory, ignore_errors=True
+        )
+        path = save_archive(os.path.join(directory, "policies.npz"), archive)
+        with open(path, "rb") as handle:
+            self._digest = hashlib.sha256(handle.read()).hexdigest()
+        self._archive_path = str(path)
         self._spawn()
 
     def _spawn(self) -> None:
@@ -578,17 +548,11 @@ class EvaluationPool:
             )
         return merged
 
-    def run_oracle_chunks(
-        self, chunks: Sequence[OracleChunk]
-    ) -> list[list[tuple[str, str, bool]]]:
-        return self._pool.map(_run_oracle_chunk, list(chunks), chunksize=1)
-
     def close(self) -> None:
         """Stop the workers and remove the archive's directory (idempotent)."""
         self._pool.terminate()
         self._pool.join()
-        if self._remove_archive is not None:
-            self._remove_archive()
+        self._remove_archive()
 
     def __enter__(self) -> "EvaluationPool":
         return self
@@ -608,7 +572,7 @@ _LEASE_COUNTS: dict[tuple[int, int], int] = {}
 
 
 def _pool_key(policies, workers: int) -> tuple[int, int]:
-    return (0 if policies is None else id(policies), workers)
+    return (id(policies), workers)
 
 
 def _cached_pool(policies, workers: int) -> EvaluationPool:
@@ -622,8 +586,7 @@ def _cached_pool(policies, workers: int) -> EvaluationPool:
     key = _pool_key(policies, workers)
     entry = _POOL_CACHE.get(key)
     if entry is None:
-        archive = None if policies is None else archive_policies(policies)
-        entry = (policies, EvaluationPool(archive, workers))
+        entry = (policies, EvaluationPool(archive_policies(policies), workers))
         _POOL_CACHE[key] = entry
     return entry[1]
 
@@ -721,26 +684,3 @@ def run_sharded(
     # restore into) workers that could never receive one.
     pool = _cached_pool(policies, min(workers, len(specs)))
     return pool.roll_specs(specs, fleet_size, retry, fault_plan, chunk_timeout)
-
-
-def run_oracle_sharded(
-    layout: SceneLayout,
-    pairs: Sequence[tuple[int, int]],
-    seed: int,
-    workers: int,
-) -> list[tuple[str, str, bool]]:
-    """Shard the expert-oracle sweep; outcomes merge in sweep order."""
-    chunks = [
-        OracleChunk(layout=layout, seed=seed, pairs=tuple(pairs[start:stop]))
-        for start, stop in shard_lanes(len(pairs), workers)
-    ]
-    if not chunks:
-        return []
-    results = _cached_pool(None, min(workers, len(chunks))).run_oracle_chunks(chunks)
-    merged = [outcome for chunk_result in results for outcome in chunk_result]
-    if len(merged) != len(pairs):
-        raise RuntimeError(
-            f"sharded oracle sweep returned {len(merged)} outcomes for "
-            f"{len(pairs)} episodes; a worker dropped episodes"
-        )
-    return merged

@@ -8,7 +8,7 @@ Usage::
     repro-experiments --fleet-size 64 tbl1   # wider evaluation fleets
     repro-experiments --workers 4 tbl1       # shard fleets across 4 processes
     repro-experiments suite                  # expert-oracle task-suite health gate
-    repro-experiments suite --episodes 1 --layout seen --workers 2
+    repro-experiments suite --episodes 1 --layout seen
     repro-experiments serve --workers 2      # JSONL service; takes repro-serve's flags
     repro-experiments lint                   # determinism-contract static analysis
     repro-experiments --result-cache tbl1    # rerun served from the result cache
@@ -128,12 +128,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        suite_workers = (
-            args.workers
-            if args.workers is not None
-            else get_profile(args.profile).workers
-        )
-        return _run_suite(args.episodes, args.layout, suite_workers)
+        return _run_suite(args.episodes, args.layout)
 
     requested = _ORDER if args.experiments == ["all"] else args.experiments
     unknown = [name for name in requested if name not in EXPERIMENTS]
@@ -169,16 +164,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _run_suite(episodes: int, layout_choice: str, workers: int = 1) -> int:
+def _run_suite(episodes: int, layout_choice: str) -> int:
     """Expert-oracle task-suite health gate (the CI smoke job's entry point).
 
-    Rolls the jitter-free scripted expert over every registry task and fails
-    (exit 1) if any family's success rate drops below 1.0 -- the cheap,
-    training-free way to catch a predicate, expert script or scene mechanic
-    drifting apart.  ``workers > 1`` shards the sweep across processes (CI
-    runs it that way so the sharded path is exercised on every push);
-    episode seeding is keyed on (task, episode), so the matrix is identical
-    for any worker count.
+    Rolls the jitter-free scripted expert over every registry task, in
+    process, and fails (exit 1) if any family's success rate drops below
+    1.0 -- the cheap, training-free way to catch a predicate, expert script
+    or scene mechanic drifting apart.  It starts no worker pool, so
+    ``--workers`` does not apply.
     """
     from repro.analysis.evaluation import expert_oracle_families
     from repro.analysis.reporting import format_table
@@ -198,9 +191,7 @@ def _run_suite(episodes: int, layout_choice: str, workers: int = 1) -> int:
     print("=== suite (expert-oracle task-suite gate) ===")
     failures: list[str] = []
     for layout in layouts:
-        cells = expert_oracle_families(
-            layout, episodes_per_task=episodes, workers=workers
-        )
+        cells = expert_oracle_families(layout, episodes_per_task=episodes)
         rows = [
             [
                 family,

@@ -14,20 +14,9 @@ from repro.core.config import (
     CorkiVariation,
     variation_by_name,
 )
-from repro.core.fleet import (
-    FleetLane,
-    FleetRunner,
-    run_baseline_fleet,
-    run_corki_fleet,
-)
+from repro.core.fleet import FleetLane, FleetRunner
 from repro.core.policy import WINDOW_LENGTH, BaselinePolicy, CorkiPolicy
-from repro.core.runner import (
-    MAX_EPISODE_FRAMES,
-    EpisodeTrace,
-    run_baseline_episode,
-    run_corki_episode,
-    run_job,
-)
+from repro.core.runner import MAX_EPISODE_FRAMES, EpisodeTrace
 from repro.core.training import (
     TrainingConfig,
     build_baseline_dataset,
@@ -80,11 +69,6 @@ __all__ = [
     "point_line_distance",
     "polynomial_design_matrix",
     "pose_batch",
-    "run_baseline_episode",
-    "run_baseline_fleet",
-    "run_corki_episode",
-    "run_corki_fleet",
-    "run_job",
     "schedule_by_name",
     "segment_angles",
     "train_baseline",

@@ -1,10 +1,10 @@
 """Batched fleet evaluation: advance many closed-loop episodes in lock-step.
 
-The single-episode runners in :mod:`repro.core.runner` reproduce the paper's
-execution models one rollout at a time, which leaves the policy's matmuls
-operating on one token window per Python-level forward pass.  This module is
-the throughput path: a :class:`FleetRunner` drives N lanes (one environment
-plus one job of chained tasks each) through shared *ticks*, where every tick
+This module is where every policy rollout runs, from a single episode (a
+fleet of one lane) to a full evaluation sweep: a :class:`FleetRunner`
+drives N lanes (one environment plus one job of chained tasks each) through
+shared *ticks*, so the policy's matmuls see one batch per tick rather than
+one token window per Python-level forward pass.  Every tick
 
 1. gathers the Corki lanes sitting at a trajectory boundary and runs **one**
    batched VLM encode plus **one** batched trajectory prediction for all of
@@ -31,12 +31,12 @@ clock reads, never an input to a result.
 
 Each lane owns its random generators, and the batched policy entry points
 pad singleton batches (see ``repro.core.policy._pad_singleton``), so a
-lane's episode is element-wise identical to the one the single-episode
-runner would produce from the same seeds -- ``tests/test_fleet.py`` asserts
-this for every policy kind, including job chaining, and pins the whole
-runner to a frozen copy of its earlier per-lane-object form.  Episodes in a
-batch progress independently: a lane that finishes a task chains into the
-next task of its job (or retires) without stalling its neighbours.
+lane's episode is element-wise identical to the same lane rolled in a fleet
+of one -- ``tests/test_fleet.py`` asserts this for every policy kind and
+pins the whole runner to a frozen copy of its earlier per-lane-object form.
+Episodes in a batch progress independently: a lane that finishes a task
+chains into the next task of its job (or retires) without stalling its
+neighbours.
 
 Determinism contract: the runner owns no randomness and keeps no state
 across lanes, so a lane's traces are a pure function of its environment
@@ -79,8 +79,6 @@ __all__ = [
     "FleetLane",
     "FleetRunner",
     "LaneArrays",
-    "run_baseline_fleet",
-    "run_corki_fleet",
 ]
 
 DEFAULT_FLEET_SIZE = 128
@@ -115,22 +113,22 @@ _NO_FRAME = np.iinfo(np.int64).min
 class FleetLane:
     """Specification of one lane: a job of tasks on one environment.
 
-    ``tasks`` is the lane's job, executed until the first failure exactly
-    like :func:`repro.core.runner.run_job`; a single episode is a one-task
-    job.  ``variation`` selects the Corki variation, or ``None`` for the
-    baseline (RoboFlamingo-style) policy.  ``rng`` drives the Corki
-    closed-loop feedback schedule and must be lane-private so that episode
-    randomness never depends on which other lanes share the fleet.
-    ``chained_start`` makes the first task enter via ``continue_with``
-    instead of ``reset`` (the single-episode wrappers' ``chained`` flag).
+    ``tasks`` is the lane's job: the first task starts from a fresh scene
+    (``reset``), and each success chains the next task onto the scene as it
+    stands (``continue_with``, as in CALVIN's rollouts) until the first
+    failure; a single episode is a one-task job.  ``variation`` selects the
+    Corki variation, or ``None`` for the baseline (RoboFlamingo-style)
+    policy; the variation also fixes the control rate (30 Hz baseline,
+    100 Hz Corki).  ``rng`` drives the Corki closed-loop feedback schedule
+    and must be lane-private so that episode randomness never depends on
+    which other lanes share the fleet.  ``max_frames`` is the frame budget
+    of each task.
     """
 
     tasks: list[Task]
     variation: CorkiVariation | None = None
     rng: np.random.Generator | None = None
-    actuation: ActuationModel | None = None
     max_frames: int = MAX_EPISODE_FRAMES
-    chained_start: bool = False
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -270,13 +268,11 @@ class LaneArrays:
             if variation is not None and variation.closed_loop
             else NO_FEEDBACK
         )
-        self.actuations[slot] = lane.actuation or (
-            TRACKING_30HZ if variation is None else TRACKING_100HZ
-        )
+        self.actuations[slot] = TRACKING_30HZ if variation is None else TRACKING_100HZ
         self.max_frames[slot] = lane.max_frames
         self.task_index[slot] = 0
         self.active[slot] = True
-        self._start_episode(slot, chained=lane.chained_start)
+        self._start_episode(slot, chained=False)
 
     def _start_episode(self, slot: int, chained: bool) -> None:
         lane = self.lanes[slot]
@@ -392,10 +388,11 @@ class FleetRunner:
         """Run every lane's job to completion; returns traces per lane.
 
         ``envs`` supplies one environment per lane.  The result's lane ``i``
-        holds the attempted-task traces of ``lanes[i]`` in job order, exactly
-        what :func:`repro.core.runner.run_job` returns for the same job.
-        This is the finite case of :meth:`run_continuous`: every lane has a
-        slot of its own, so none waits to be admitted.
+        holds the traces of the tasks ``lanes[i]`` attempted, in job order:
+        every success, then the first failure if there was one (the job's
+        score is the number of successes).  A single episode is one one-task
+        lane.  This is the finite case of :meth:`run_continuous`: every lane
+        has a slot of its own, so none waits to be admitted.
         """
         if len(lanes) != len(envs):
             raise ValueError(
@@ -630,53 +627,3 @@ def _adaptive_steps(
         gripper_change_flags(plans.gripper_open[lanes], gripper_now),
         ADAPTIVE_DISTANCE_THRESHOLD,
     )
-
-
-def run_baseline_fleet(
-    envs: list[ManipulationEnv],
-    policy: BaselinePolicy,
-    tasks: list[Task],
-    actuation: ActuationModel = TRACKING_30HZ,
-    max_frames: int = MAX_EPISODE_FRAMES,
-) -> list[EpisodeTrace]:
-    """Run one baseline episode per lane (task ``i`` on environment ``i``).
-
-    Convenience wrapper for homogeneous single-task fleets (benchmarks, the
-    quickstart); evaluation drivers build :class:`FleetLane` lists directly.
-    Each lane's episode equals ``run_baseline_episode`` on the same
-    environment and task, element for element.
-    """
-    lanes = [
-        FleetLane(tasks=[task], actuation=actuation, max_frames=max_frames)
-        for task in tasks
-    ]
-    return [traces[0] for traces in FleetRunner(baseline=policy).run(envs, lanes)]
-
-
-def run_corki_fleet(
-    envs: list[ManipulationEnv],
-    policy: CorkiPolicy,
-    tasks: list[Task],
-    variation: CorkiVariation,
-    rngs: list[np.random.Generator],
-    actuation: ActuationModel = TRACKING_100HZ,
-    max_frames: int = MAX_EPISODE_FRAMES,
-) -> list[EpisodeTrace]:
-    """Run one Corki episode per lane with lane-private feedback rngs.
-
-    ``rngs[i]`` drives only lane ``i``'s closed-loop feedback schedule
-    (``FleetLane.rng``); scene randomness lives in each environment's own
-    generator.  Each lane's episode equals ``run_corki_episode`` with the
-    same seeds, element for element, for every variation including ADAP.
-    """
-    lanes = [
-        FleetLane(
-            tasks=[task],
-            variation=variation,
-            rng=rng,
-            actuation=actuation,
-            max_frames=max_frames,
-        )
-        for task, rng in zip(tasks, rngs)
-    ]
-    return [traces[0] for traces in FleetRunner(corki=policy).run(envs, lanes)]

@@ -17,10 +17,10 @@ executed-trajectory-length sequence that
 latency on trajectory-boundary frames.
 
 The loop bodies live in :mod:`repro.core.fleet`, which advances N episodes
-in lock-step with batched inference; :func:`run_baseline_episode` and
-:func:`run_corki_episode` are kept as thin N=1 wrappers so existing callers
-(and the paper-figure experiments) keep their single-episode API, with
-results element-wise identical to the same episode inside a larger fleet.
+in lock-step with batched inference: a single episode is a one-lane
+:class:`~repro.core.fleet.FleetLane` passed to
+:meth:`~repro.core.fleet.FleetRunner.run`, element-wise identical to the
+same episode inside a larger fleet.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import CorkiVariation
-from repro.core.policy import BaselinePolicy, CorkiPolicy
-from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, ActuationModel, ManipulationEnv
+from repro.sim.env import ManipulationEnv
 from repro.sim.expert import render_keyframes
 from repro.sim.tasks import Task
 
-__all__ = ["EpisodeTrace", "run_baseline_episode", "run_corki_episode", "run_job"]
+__all__ = ["EpisodeTrace"]
 
 MAX_EPISODE_FRAMES = 150
 """Frame budget per task; generous versus expert episodes of 45-80 frames."""
@@ -69,69 +67,3 @@ def _reference_path(env: ManipulationEnv, task: Task) -> np.ndarray:
     assert env.scene is not None
     keyframes = task.expert(env.scene)
     return render_keyframes(env.scene.ee_pose, keyframes, env.frame_dt).poses
-
-
-def run_baseline_episode(
-    env: ManipulationEnv,
-    policy: BaselinePolicy,
-    task: Task,
-    actuation: ActuationModel = TRACKING_30HZ,
-    max_frames: int = MAX_EPISODE_FRAMES,
-    chained: bool = False,
-) -> EpisodeTrace:
-    """Frame-by-frame execution (paper Fig. 1a); a fleet of one."""
-    from repro.core.fleet import FleetLane, FleetRunner
-
-    lane = FleetLane(
-        tasks=[task], actuation=actuation, max_frames=max_frames, chained_start=chained
-    )
-    return FleetRunner(baseline=policy).run([env], [lane])[0][0]
-
-
-def run_corki_episode(
-    env: ManipulationEnv,
-    policy: CorkiPolicy,
-    task: Task,
-    variation: CorkiVariation,
-    rng: np.random.Generator,
-    actuation: ActuationModel = TRACKING_100HZ,
-    max_frames: int = MAX_EPISODE_FRAMES,
-    chained: bool = False,
-) -> EpisodeTrace:
-    """Trajectory-level execution (paper Fig. 1b); a fleet of one.
-
-    ``rng`` drives the closed-loop feedback schedule only (one draw per
-    executed trajectory, as in the single-loop formulation of Sec. 3.4).
-    """
-    from repro.core.fleet import FleetLane, FleetRunner
-
-    lane = FleetLane(
-        tasks=[task],
-        variation=variation,
-        rng=rng,
-        actuation=actuation,
-        max_frames=max_frames,
-        chained_start=chained,
-    )
-    return FleetRunner(corki=policy).run([env], [lane])[0][0]
-
-
-def run_job(
-    env: ManipulationEnv,
-    tasks: list[Task],
-    run_episode,
-) -> list[EpisodeTrace]:
-    """Run a long-horizon job: consecutive tasks until the first failure.
-
-    ``run_episode(task, chained)`` is a closure over the policy/variation;
-    the environment's scene persists across tasks, as in CALVIN's rollouts.
-    Returns the traces of the attempted tasks (the job's score is the number
-    of successes, i.e. the index of the first failed trace).
-    """
-    traces = []
-    for index, task in enumerate(tasks):
-        trace = run_episode(task, index > 0)
-        traces.append(trace)
-        if not trace.success:
-            break
-    return traces

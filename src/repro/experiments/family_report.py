@@ -29,11 +29,7 @@ def family_table(scenario: str, profile: Profile | None = None) -> str:
     context = shared_context(profile)
     resolved = context.profile
     layout = SEEN_LAYOUT if scenario == "seen" else UNSEEN_LAYOUT
-    oracle = expert_oracle_families(
-        layout,
-        episodes_per_task=resolved.family_episodes,
-        workers=resolved.workers,
-    )
+    oracle = expert_oracle_families(layout, episodes_per_task=resolved.family_episodes)
     systems = {}
     estimates = {}
     for name in _SYSTEMS:

@@ -6,10 +6,10 @@ import numpy as np
 
 from repro.analysis.reporting import format_series
 from repro.core.config import VARIATIONS
-from repro.core.runner import run_baseline_episode, run_corki_episode
+from repro.core.fleet import FleetLane, FleetRunner
 from repro.experiments.context import shared_context
 from repro.experiments.profiles import Profile
-from repro.sim.env import TRACKING_100HZ, TRACKING_30HZ, ManipulationEnv
+from repro.sim.env import ManipulationEnv
 from repro.sim.tasks import TASKS
 from repro.sim.world import SEEN_LAYOUT
 
@@ -20,22 +20,29 @@ def sequence_paths(profile: Profile | None = None, task_index: int = 4, seed: in
     """Roll one fixed sequence under the baseline and Corki-5.
 
     Returns ``(reference, baseline_trace, corki_trace)``; the scene is
-    identical across systems because the environment RNG is reseeded.
+    identical across systems because each lane's environment RNG is seeded
+    alike.  Both episodes roll as the two lanes of one fleet.
     """
     context = shared_context(profile)
     policies = context.policies()
     task = TASKS[task_index]
 
-    # repro: allow[RNG-KEYED] reason=scene deliberately reseeded identically for both systems (paired comparison)
-    env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(seed))
-    baseline_trace = run_baseline_episode(env, policies.baseline, task, actuation=TRACKING_30HZ)
-    # repro: allow[RNG-KEYED] reason=scene deliberately reseeded identically for both systems (paired comparison)
-    env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(seed))
-    corki_trace = run_corki_episode(
-        # repro: allow[RNG-KEYED] reason=one showcase episode's feedback stream; nothing lane-scoped
-        env, policies.corki, task, VARIATIONS["corki-5"], np.random.default_rng(7),
-        actuation=TRACKING_100HZ,
-    )
+    envs = [
+        # repro: allow[RNG-KEYED] reason=scene deliberately reseeded identically for both systems (paired comparison)
+        ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(seed))
+        for _ in range(2)
+    ]
+    lanes = [
+        FleetLane(tasks=[task]),
+        FleetLane(
+            tasks=[task],
+            variation=VARIATIONS["corki-5"],
+            # repro: allow[RNG-KEYED] reason=one showcase episode's feedback stream; nothing lane-scoped
+            rng=np.random.default_rng(7),
+        ),
+    ]
+    traces = FleetRunner(policies.baseline, policies.corki).run(envs, lanes)
+    baseline_trace, corki_trace = (lane_traces[0] for lane_traces in traces)
     return baseline_trace.reference_path, baseline_trace, corki_trace
 
 

@@ -5,7 +5,10 @@ The determinism contract: a lane's traces and estimate depend only on its
 lane index, instructions, frame budget) and the weights -- not on the fleet
 it shares, its position there, the worker that rolls it or the cache that
 serves it.  The reference rolls every spec of a fixed set alone, in a fleet
-of one; each entry point must reproduce every lane it rolls byte for byte:
+of one, with the quick-profile policies cached in ``artifacts/`` (lanes
+with them succeed and chain into their next task, which the reference
+asserts); each entry point must reproduce every lane it rolls byte for
+byte:
 
 * ``evaluate_all_systems`` (all seven systems' lanes as mixed fleets) at
   fleet sizes 1, 7 and 128 and ``workers`` 1 and 2, with a cache cold and
@@ -32,11 +35,13 @@ import json
 import numpy as np
 import pytest
 
+import repro.analysis.evaluation as evaluation
 from repro.analysis.evaluation import (
     JOB_LENGTH,
     LaneSpec,
     TrainedPolicies,
     evaluate_all_systems,
+    get_trained_policies,
     lane_estimates,
     roll_specs,
 )
@@ -53,6 +58,11 @@ SYSTEMS = ("roboflamingo", "corki-1", "corki-3", "corki-5", "corki-7", "corki-9"
 SWEEPS = ((3, SEEN_LAYOUT), (4, UNSEEN_LAYOUT), (5, SEEN_LAYOUT))
 JOBS = 2
 SHORT_FRAMES = 90
+# Single tasks the quick-profile baseline mostly completes on the seen layout.
+BASELINE_TASKS = (
+    "open the drawer", "close the drawer", "turn the switch on",
+    "turn the switch off", "turn on the lightbulb", "turn off the lightbulb",
+)
 
 
 def sweep_specs(seed, layout) -> list[LaneSpec]:
@@ -71,11 +81,17 @@ def sweep_specs(seed, layout) -> list[LaneSpec]:
 
 
 SWEEP_SPECS = [spec for seed, layout in SWEEPS for spec in sweep_specs(seed, layout)]
-# The fixed set: every sweep lane at the full 150-frame budget, and the
-# unseen-layout sweep's lanes again at 90 frames.
+# The fixed set: every sweep lane at the full 150-frame budget, the
+# unseen-layout sweep's lanes again at 90 frames, and one single-task
+# baseline lane per BASELINE_TASKS entry on each seen-layout sweep's seed.
 SPECS = SWEEP_SPECS + [
     dataclasses.replace(spec, max_frames=SHORT_FRAMES)
     for spec in sweep_specs(*SWEEPS[1])
+] + [
+    LaneSpec("roboflamingo", layout, seed, JOBS + offset, (instruction,))
+    for seed, layout in SWEEPS
+    if layout is SEEN_LAYOUT
+    for offset, instruction in enumerate(BASELINE_TASKS)
 ]
 # SPECS with every 90-frame spec following a 150-frame one: rolled through a
 # few slots, lanes then retire out of admission order.
@@ -98,9 +114,18 @@ def priced(spec: LaneSpec, traces) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def trained(tiny_policies):
-    baseline, corki, _ = tiny_policies
-    return TrainedPolicies(baseline, corki, demos_per_task=3, epochs=1)
+def trained() -> TrainedPolicies:
+    """The quick-profile pair, loaded from ``artifacts/``; a cache miss
+    fails here instead of training for minutes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quick-profile policies are not cached in artifacts/")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "collect_demonstrations", refuse)
+        return get_trained_policies(
+            demos_per_task=24, epochs=12, seed=7, hidden_dim=96, token_dim=48
+        )
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -110,12 +135,52 @@ def _teardown_pools():
 
 
 @pytest.fixture(scope="module")
-def reference(trained) -> list[bytes]:
-    """Every spec rolled alone, in a fleet of one."""
+def rolled_alone(trained) -> list[list]:
+    """Every spec's traces, rolled alone, in a fleet of one."""
     return [
-        priced(spec, roll_specs(FleetRunner(trained.baseline, trained.corki), [spec], 1)[0])
+        roll_specs(FleetRunner(trained.baseline, trained.corki), [spec], 1)[0]
         for spec in SPECS
     ]
+
+
+@pytest.fixture(scope="module")
+def reference(rolled_alone) -> list[bytes]:
+    return [priced(spec, traces) for spec, traces in zip(SPECS, rolled_alone, strict=True)]
+
+
+def outcomes(rolled) -> dict[str, int]:
+    """Episodes, successes per policy kind and lanes that chained."""
+    counts = {"episodes": 0, "baseline successes": 0, "corki successes": 0, "chained lanes": 0}
+    for spec, traces in zip(SPECS, rolled, strict=True):
+        kind = "baseline" if spec.system == "roboflamingo" else "corki"
+        counts["episodes"] += len(traces)
+        counts[f"{kind} successes"] += sum(trace.success for trace in traces)
+        counts["chained lanes"] += len(traces) >= 2
+    return counts
+
+
+# What the reference lanes do with the committed quick-profile weights.
+REFERENCE_OUTCOMES = {
+    "episodes": 77, "baseline successes": 10, "corki successes": 9, "chained lanes": 9,
+}
+
+
+def test_the_reference_succeeds_and_chains(rolled_alone):
+    """A matrix whose lanes all fail compares only failure paths: the
+    reference must hold baseline and Corki successes, and a lane that
+    chains into its second task."""
+    counts = outcomes(rolled_alone)
+    assert counts["baseline successes"] >= 1, counts
+    assert counts["corki successes"] >= 1, counts
+    assert counts["chained lanes"] >= 1, counts
+
+
+def test_the_reference_outcomes_are_the_committed_weights(rolled_alone):
+    """Every other test here compares entry points with one another, so a
+    change that moves all of them alike (a policy kind's control rate, say)
+    passes them all; the reference's outcome counts pin what the committed
+    weights do."""
+    assert outcomes(rolled_alone) == REFERENCE_OUTCOMES
 
 
 def split_lanes(evaluation) -> list[tuple[list, object]]:

@@ -19,8 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.analysis.evaluation import expert_oracle_families, expert_oracle_outcomes
-from repro.analysis.parallel import run_oracle_sharded
+from repro.analysis.evaluation import expert_oracle_outcomes
 from repro.sim.dataset import (
     DEMO_JITTER_STD,
     Demonstration,
@@ -229,18 +228,6 @@ class TestExpertOracle:
         )
         for episode, (_, frames) in zip(episodes, reference):
             assert episode.observations.tobytes() == frames.tobytes()
-
-    @pytest.mark.parametrize("seed", [3])
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_sharded_outcomes_match_the_scalar_oracle(self, layout, seed):
-        reference = [
-            frozen_oracle_episode(LAYOUTS[layout], index, episode, seed)[0]
-            for index, episode in ORACLE_PAIRS
-        ]
-        assert run_oracle_sharded(LAYOUTS[layout], ORACLE_PAIRS, seed, workers=2) == reference
-        assert expert_oracle_families(
-            LAYOUTS[layout], seed=seed, workers=2
-        ) == expert_oracle_families(LAYOUTS[layout], seed=seed, workers=1)
 
     def test_a_shard_reproduces_its_slice_of_the_sweep(self):
         """Keyed lanes: rolling any subset of pairs gives those pairs' outcomes."""

@@ -2,8 +2,8 @@
 
 The fleet runner must be a pure throughput optimisation: an episode rolled
 inside an N-lane fleet is element-wise identical to the same episode rolled
-by the single-episode runner from the same seeds.  Two mechanisms carry
-that guarantee and these tests lock both in:
+as a fleet of one from the same seeds.  Two mechanisms carry that guarantee
+and these tests lock both in:
 
 * every lane owns its environment and feedback generators, so no lane's
   randomness depends on its neighbours; and
@@ -11,13 +11,14 @@ that guarantee and these tests lock both in:
   (``repro.core.policy._pad_singleton``), so BLAS takes the same GEMM
   kernels whether one lane or thirty-two need inference on a tick.
 
-The single-episode runners are fleets of one of the same runner, so those
-comparisons cannot see a bookkeeping change that alters both sides.
+A fleet of one runs the same code as a fleet of N, so those comparisons
+cannot see a bookkeeping change that alters both sides.
 :class:`TestFrozenFleetReference` therefore holds the runner to a frozen
 copy of its per-lane-object form (``tests/frozen_fleet.py``), byte for byte.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,11 +39,6 @@ from repro.core import (
     FleetLane,
     FleetRunner,
     TrajectoryBatch,
-    run_baseline_episode,
-    run_baseline_fleet,
-    run_corki_episode,
-    run_corki_fleet,
-    run_job,
 )
 from repro.serving.cache import encode_traces
 from repro.sim import (
@@ -85,13 +81,12 @@ def _assert_traces_identical(single, fleet):
 class TestBaselineEquivalence:
     def test_fleet_matches_sequential_singles(self, tiny_policies):
         baseline, _, _ = tiny_policies
-        singles = [
-            run_baseline_episode(env, baseline, task, max_frames=MAX_FRAMES)
-            for env, task in zip(_envs(50), _tasks())
-        ]
-        fleet = run_baseline_fleet(_envs(50), baseline, _tasks(), max_frames=MAX_FRAMES)
-        for single, batched in zip(singles, fleet):
-            _assert_traces_identical(single, batched)
+        runner = FleetRunner(baseline=baseline)
+        lanes = [FleetLane(tasks=[task], max_frames=MAX_FRAMES) for task in _tasks()]
+        singles = [runner.run([env], [lane])[0] for env, lane in zip(_envs(50), lanes)]
+        fleet = runner.run(_envs(50), lanes)
+        for single, batched in zip(singles, fleet, strict=True):
+            _assert_traces_identical(single[0], batched[0])
 
 
 class TestCorkiEquivalence:
@@ -100,76 +95,21 @@ class TestCorkiEquivalence:
         """Fixed-step and Algorithm-1 adaptive lanes de-synchronise their
         inference frames inside the fleet; results must not change."""
         _, corki, _ = tiny_policies
-        variation = VARIATIONS[name]
-        singles = [
-            run_corki_episode(
-                env, corki, task, variation, np.random.default_rng(70 + i),
-                max_frames=MAX_FRAMES,
-            )
-            for i, (env, task) in enumerate(zip(_envs(60), _tasks()))
-        ]
-        fleet = run_corki_fleet(
-            _envs(60),
-            corki,
-            _tasks(),
-            variation,
-            [np.random.default_rng(70 + i) for i in range(FLEET_N)],
-            max_frames=MAX_FRAMES,
-        )
-        for single, batched in zip(singles, fleet):
-            _assert_traces_identical(single, batched)
+        runner = FleetRunner(corki=corki)
 
+        def lanes():
+            return [
+                FleetLane(
+                    tasks=[task], variation=VARIATIONS[name],
+                    rng=np.random.default_rng(70 + i), max_frames=MAX_FRAMES,
+                )
+                for i, task in enumerate(_tasks())
+            ]
 
-class TestJobChainingEquivalence:
-    def test_fleet_lane_matches_run_job(self, tiny_policies):
-        """A multi-task lane chains tasks exactly like run_job: scene
-        persists via continue_with, and the job stops at the first failure."""
-        baseline, _, _ = tiny_policies
-        job = [TASKS[0], TASKS[5], TASKS[9]]
-
-        single_env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(80))
-
-        def episode(task, chained):
-            return run_baseline_episode(
-                single_env, baseline, task, max_frames=MAX_FRAMES, chained=chained
-            )
-
-        single_traces = run_job(single_env, job, episode)
-
-        fleet_env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(80))
-        lane = FleetLane(tasks=job, max_frames=MAX_FRAMES)
-        fleet_traces = FleetRunner(baseline=baseline).run([fleet_env], [lane])[0]
-
-        assert len(single_traces) == len(fleet_traces)
-        for single, batched in zip(single_traces, fleet_traces):
-            _assert_traces_identical(single, batched)
-
-    def test_corki_job_chaining(self, tiny_policies):
-        _, corki, _ = tiny_policies
-        job = [TASKS[1], TASKS[6]]
-        variation = VARIATIONS["corki-5"]
-
-        single_env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(81))
-        single_rng = np.random.default_rng(91)
-
-        def episode(task, chained):
-            return run_corki_episode(
-                single_env, corki, task, variation, single_rng,
-                max_frames=MAX_FRAMES, chained=chained,
-            )
-
-        single_traces = run_job(single_env, job, episode)
-
-        fleet_env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(81))
-        lane = FleetLane(
-            tasks=job, variation=variation,
-            rng=np.random.default_rng(91), max_frames=MAX_FRAMES,
-        )
-        fleet_traces = FleetRunner(corki=corki).run([fleet_env], [lane])[0]
-
-        assert len(single_traces) == len(fleet_traces)
-        for single, batched in zip(single_traces, fleet_traces):
-            _assert_traces_identical(single, batched)
+        singles = [runner.run([env], [lane])[0] for env, lane in zip(_envs(60), lanes())]
+        fleet = runner.run(_envs(60), lanes())
+        for single, batched in zip(singles, fleet, strict=True):
+            _assert_traces_identical(single[0], batched[0])
 
 
 class TestMixedFleet:
@@ -177,32 +117,27 @@ class TestMixedFleet:
         """A heterogeneous fleet batches each policy kind separately and
         still reproduces every lane's standalone episode."""
         baseline, corki, _ = tiny_policies
-        variation = VARIATIONS["corki-5"]
+        runner = FleetRunner(baseline=baseline, corki=corki)
 
-        single_base = run_baseline_episode(
-            ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(100)),
-            baseline, TASKS[0], max_frames=MAX_FRAMES,
-        )
-        single_corki = run_corki_episode(
-            ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(101)),
-            corki, TASKS[1], variation, np.random.default_rng(111),
-            max_frames=MAX_FRAMES,
-        )
+        def envs():
+            return [
+                ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(100)),
+                ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(101)),
+            ]
 
-        envs = [
-            ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(100)),
-            ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(101)),
-        ]
-        lanes = [
-            FleetLane(tasks=[TASKS[0]], max_frames=MAX_FRAMES),
-            FleetLane(
-                tasks=[TASKS[1]], variation=variation,
-                rng=np.random.default_rng(111), max_frames=MAX_FRAMES,
-            ),
-        ]
-        traces = FleetRunner(baseline=baseline, corki=corki).run(envs, lanes)
-        _assert_traces_identical(single_base, traces[0][0])
-        _assert_traces_identical(single_corki, traces[1][0])
+        def lanes():
+            return [
+                FleetLane(tasks=[TASKS[0]], max_frames=MAX_FRAMES),
+                FleetLane(
+                    tasks=[TASKS[1]], variation=VARIATIONS["corki-5"],
+                    rng=np.random.default_rng(111), max_frames=MAX_FRAMES,
+                ),
+            ]
+
+        singles = [runner.run([env], [lane])[0] for env, lane in zip(envs(), lanes())]
+        traces = runner.run(envs(), lanes())
+        for single, batched in zip(singles, traces, strict=True):
+            _assert_traces_identical(single[0], batched[0])
 
 
 class TestBatchedEnvFacade:
@@ -577,10 +512,19 @@ def _admissions(system):
     return admissions
 
 
+def _frozen_lane(lane):
+    """``lane`` with the two fields the frozen runner still reads: the
+    actuation it picks from the lane kind when ``None``, and a first task
+    that starts with ``reset``."""
+    return SimpleNamespace(**vars(lane), actuation=None, chained_start=False)
+
+
 def _roll(runner_cls, policies, system, fleet_size):
     """Every lane's encoded traces."""
     baseline, corki, _ = policies
     admissions = _admissions(system)
+    if runner_cls is FrozenFleetRunner:
+        admissions = [(env, _frozen_lane(lane)) for env, lane in admissions]
     traces = []
     for start in range(0, len(admissions), fleet_size):
         chunk = admissions[start : start + fleet_size]
@@ -621,6 +565,7 @@ def _roll_continuous(runner_cls, policies, slots, victim):
     runner = runner_cls(baseline=baseline, corki=corki)
     if runner_cls is FrozenFleetRunner:
         # The frozen runner keeps its (env, lane) interface: key its lanes here.
+        admissions = [(env, _frozen_lane(lane)) for env, lane in admissions]
         keys = {id(lane): key for key, (_, lane) in enumerate(admissions)}
         served = runner.run_continuous(
             iter(admissions),

@@ -102,13 +102,15 @@ class TestFeedbackSchedules:
 
     def test_open_loop_variation_runs(self, tiny_policies):
         from repro.core.config import CorkiVariation
-        from repro.core.runner import run_corki_episode
+        from repro.core.fleet import FleetLane, FleetRunner
         from repro.sim import ManipulationEnv, SEEN_LAYOUT, TASKS
 
         _, corki, _ = tiny_policies
         variation = CorkiVariation("corki-nofb", execute_steps=5, feedback="none")
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(0))
-        trace = run_corki_episode(
-            env, corki, TASKS[0], variation, np.random.default_rng(1), max_frames=15
+        lane = FleetLane(
+            tasks=[TASKS[0]], variation=variation,
+            rng=np.random.default_rng(1), max_frames=15,
         )
+        trace = FleetRunner(corki=corki).run([env], [lane])[0][0]
         assert trace.frames <= 15

@@ -30,7 +30,6 @@ from repro.analysis.evaluation import (
     evaluate_all_systems,
     evaluate_system,
     evaluate_system_families,
-    expert_oracle_families,
     lane_generators,
 )
 from repro.analysis.parallel import (
@@ -158,13 +157,15 @@ class TestPoolStartup:
             def close(self):
                 pass
 
+        policies = object()  # a stand-in: nothing is archived or spawned
         monkeypatch.setattr(atexit, "register", registered.append)
+        monkeypatch.setattr(parallel, "archive_policies", lambda policies: None)
         monkeypatch.setattr(parallel, "EvaluationPool", IdlePool)
         monkeypatch.setattr(parallel, "_POOL_CACHE", {})
         monkeypatch.setattr(parallel, "_LEASE_COUNTS", {})
         for _ in range(3):
-            lease_pool(None, 2)
-            release_pool(None, 2)
+            lease_pool(policies, 2)
+            release_pool(policies, 2)
         assert registered.count(shutdown_pools) <= 1
 
 
@@ -237,17 +238,6 @@ class TestShardedEvaluation:
             trained, "roboflamingo", SEEN_LAYOUT, jobs=2, seed=5, workers=2
         )
         assert sharded.completed_counts == sequential.completed_counts
-
-
-class TestShardedOracle:
-    def test_oracle_matrix_identical_across_workers(self):
-        sequential = expert_oracle_families(
-            SEEN_LAYOUT, episodes_per_task=1, workers=1
-        )
-        sharded = expert_oracle_families(SEEN_LAYOUT, episodes_per_task=1, workers=2)
-        assert sharded == sequential
-        for cell in sharded.values():
-            assert cell.success_rate == 1.0
 
 
 class TestTbl1ByteIdentity:

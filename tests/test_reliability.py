@@ -24,7 +24,7 @@ from repro.analysis.evaluation import (
     LaneSpec,
     TrainedPolicies,
     evaluate_system,
-    roll_lane_chunk,
+    roll_specs,
     sample_job,
 )
 from repro.analysis.parallel import (
@@ -38,6 +38,7 @@ from repro.analysis.parallel import (
     save_archive,
     shutdown_pools,
 )
+from repro.core.fleet import FleetRunner
 from repro.reliability import (
     ChunkDirective,
     FaultPlan,
@@ -72,10 +73,8 @@ def reference(trained):
     lane-structured (a failed task aborts its job, so per-lane trace counts
     vary -- the flattened ``evaluate_system`` trace list cannot be sliced
     back into lanes)."""
-    return roll_lane_chunk(
-        trained, "corki-5", SEEN_LAYOUT, SEED, lane_jobs_for(SEED, JOBS),
-        fleet_size=32,
-    )
+    runner = FleetRunner(trained.baseline, trained.corki)
+    return roll_specs(runner, lane_specs_for(SEED, JOBS), fleet_size=32)
 
 
 def lane_jobs_for(seed: int, count: int):
@@ -261,16 +260,14 @@ class TestCrashRecovery:
         """``os._exit`` kills the worker process outright; only the chunk
         timeout can notice.  The pool respawns, re-dispatches, and the
         result still matches an in-process roll byte for byte."""
-        jobs = lane_jobs_for(SEED, 2)
         before = dataclasses.replace(shared_pool_health(trained))
         merged = run_sharded(
             trained, lane_specs_for(SEED, 2), fleet_size=32, workers=2, retry=NO_BACKOFF,
             fault_plan=FaultPlan(seed=3, crash_rate=1.0, hard_crash=True),
             chunk_timeout=8.0,
         )
-        expected = roll_lane_chunk(
-            trained, "corki-5", SEEN_LAYOUT, SEED, jobs, fleet_size=32
-        )
+        runner = FleetRunner(trained.baseline, trained.corki)
+        expected = roll_specs(runner, lane_specs_for(SEED, 2), fleet_size=32)
         assert len(expected) == len(merged)
         for expected_lane, merged_lane in zip(expected, merged):
             assert_lane_equal(expected_lane, merged_lane)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import VARIATIONS, FleetLane, run_corki_episode
+from repro.core import VARIATIONS, FleetLane, FleetRunner
 from repro.core.fleet import LaneArrays
 from repro.sim import (
     PERFECT_ACTUATION,
@@ -145,10 +145,11 @@ class TestRunnerEdgeCases:
     def test_single_frame_budget(self, tiny_policies):
         _, corki, _ = tiny_policies
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(0))
-        trace = run_corki_episode(
-            env, corki, TASKS[0], VARIATIONS["corki-9"], np.random.default_rng(1),
-            max_frames=1,
+        lane = FleetLane(
+            tasks=[TASKS[0]], variation=VARIATIONS["corki-9"],
+            rng=np.random.default_rng(1), max_frames=1,
         )
+        trace = FleetRunner(corki=corki).run([env], [lane])[0][0]
         assert trace.frames == 1
         assert trace.executed_steps == [1]
 
@@ -158,7 +159,9 @@ class TestRunnerEdgeCases:
         _, corki, _ = tiny_policies
         variation = CorkiVariation("corki-open", execute_steps=5, closed_loop=False)
         env = ManipulationEnv(SEEN_LAYOUT, np.random.default_rng(0))
-        trace = run_corki_episode(
-            env, corki, TASKS[0], variation, np.random.default_rng(1), max_frames=15
+        lane = FleetLane(
+            tasks=[TASKS[0]], variation=variation,
+            rng=np.random.default_rng(1), max_frames=15,
         )
+        trace = FleetRunner(corki=corki).run([env], [lane])[0][0]
         assert trace.frames <= 15

@@ -1,15 +1,9 @@
-"""Tests for the closed-loop episode runners and job chaining."""
+"""Tests for closed-loop episodes (one-lane fleets) and job chaining."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    VARIATIONS,
-    EpisodeTrace,
-    run_baseline_episode,
-    run_corki_episode,
-    run_job,
-)
+from repro.core import VARIATIONS, EpisodeTrace, FleetLane, FleetRunner
 from repro.sim import SEEN_LAYOUT, TASKS, ManipulationEnv
 
 
@@ -21,7 +15,8 @@ def env():
 class TestBaselineRunner:
     def test_trace_structure(self, env, tiny_policies):
         baseline, _, _ = tiny_policies
-        trace = run_baseline_episode(env, baseline, TASKS[0], max_frames=20)
+        lane = FleetLane(tasks=[TASKS[0]], max_frames=20)
+        trace = FleetRunner(baseline=baseline).run([env], [lane])[0][0]
         assert isinstance(trace, EpisodeTrace)
         assert trace.frames <= 20
         assert all(step == 1 for step in trace.executed_steps)
@@ -30,7 +25,8 @@ class TestBaselineRunner:
 
     def test_reference_path_is_expert(self, env, tiny_policies):
         baseline, _, _ = tiny_policies
-        trace = run_baseline_episode(env, baseline, TASKS[0], max_frames=5)
+        lane = FleetLane(tasks=[TASKS[0]], max_frames=5)
+        trace = FleetRunner(baseline=baseline).run([env], [lane])[0][0]
         assert trace.reference_path.ndim == 2
         assert trace.reference_path.shape[1] == 6
 
@@ -38,10 +34,11 @@ class TestBaselineRunner:
 class TestCorkiRunner:
     def test_fixed_steps_execution(self, env, tiny_policies):
         _, corki, _ = tiny_policies
-        trace = run_corki_episode(
-            env, corki, TASKS[0], VARIATIONS["corki-5"], np.random.default_rng(0),
-            max_frames=23,
+        lane = FleetLane(
+            tasks=[TASKS[0]], variation=VARIATIONS["corki-5"],
+            rng=np.random.default_rng(0), max_frames=23,
         )
+        trace = FleetRunner(corki=corki).run([env], [lane])[0][0]
         # Every trajectory except possibly the last executes exactly 5 steps.
         assert all(steps == 5 for steps in trace.executed_steps[:-1])
         assert trace.executed_steps[-1] <= 5
@@ -49,39 +46,38 @@ class TestCorkiRunner:
 
     def test_inference_count_reduced(self, env, tiny_policies):
         _, corki, _ = tiny_policies
-        trace = run_corki_episode(
-            env, corki, TASKS[1], VARIATIONS["corki-9"], np.random.default_rng(0),
-            max_frames=36,
+        lane = FleetLane(
+            tasks=[TASKS[1]], variation=VARIATIONS["corki-9"],
+            rng=np.random.default_rng(0), max_frames=36,
         )
+        trace = FleetRunner(corki=corki).run([env], [lane])[0][0]
         assert trace.inference_count <= -(-trace.frames // 9) + 1
 
     def test_adaptive_steps_within_horizon(self, env, tiny_policies):
         _, corki, _ = tiny_policies
-        trace = run_corki_episode(
-            env, corki, TASKS[2], VARIATIONS["corki-adap"], np.random.default_rng(0),
-            max_frames=30,
+        lane = FleetLane(
+            tasks=[TASKS[2]], variation=VARIATIONS["corki-adap"],
+            rng=np.random.default_rng(0), max_frames=30,
         )
+        trace = FleetRunner(corki=corki).run([env], [lane])[0][0]
         assert all(1 <= steps <= 9 for steps in trace.executed_steps)
 
     def test_max_frames_respected(self, env, tiny_policies):
         _, corki, _ = tiny_policies
         for name in ("corki-1", "corki-5", "corki-9", "corki-adap"):
-            trace = run_corki_episode(
-                env, corki, TASKS[0], VARIATIONS[name], np.random.default_rng(0),
-                max_frames=10,
+            lane = FleetLane(
+                tasks=[TASKS[0]], variation=VARIATIONS[name],
+                rng=np.random.default_rng(0), max_frames=10,
             )
+            trace = FleetRunner(corki=corki).run([env], [lane])[0][0]
             assert trace.frames <= 10
 
 
 class TestJobRunner:
     def test_stops_at_first_failure(self, env, tiny_policies):
         baseline, _, _ = tiny_policies
-        tasks = [TASKS[0], TASKS[5], TASKS[9]]
-
-        def episode(task, chained):
-            return run_baseline_episode(env, baseline, task, max_frames=3, chained=chained)
-
-        traces = run_job(env, tasks, episode)
+        lane = FleetLane(tasks=[TASKS[0], TASKS[5], TASKS[9]], max_frames=3)
+        traces = FleetRunner(baseline=baseline).run([env], [lane])[0]
         # Undertrained policy with a 3-frame budget fails the first task.
         assert len(traces) == 1
         assert not traces[0].success

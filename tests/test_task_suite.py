@@ -438,6 +438,26 @@ class TestSuiteCli:
         assert "expert-oracle task-suite gate" in out
         assert "unstack" in out
 
+    def test_suite_never_starts_a_pool(self, capsys, monkeypatch):
+        """The oracle sweep rolls in process: ``--workers 2`` starts no
+        worker pool and prints the table the plain run prints."""
+        import repro.analysis.parallel as parallel
+        from repro.cli import main
+
+        def untimed(out):
+            return [line for line in out.splitlines() if "done in" not in line]
+
+        argv = ["suite", "--episodes", "1", "--layout", "seen"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the suite started a worker pool")
+
+        monkeypatch.setattr(parallel, "EvaluationPool", no_pool)
+        assert main(["--workers", "2", *argv]) == 0
+        assert untimed(capsys.readouterr().out) == untimed(plain)
+
     def test_suite_runs_alone(self, capsys):
         from repro.cli import main
 
